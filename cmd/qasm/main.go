@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"surfcomm"
+	"surfcomm/internal/sweep"
 )
 
 // validApps names the -app values in help order.
@@ -39,7 +40,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write frontend-statistics records to this JSON file")
 	flag.Parse()
 
-	var records []surfcomm.SweepCellResult
+	var records []sweep.CellResult
 
 	if *stats {
 		if flag.NArg() == 0 {
@@ -73,7 +74,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		if err := surfcomm.WriteSweepRecordsFile(*jsonPath, records); err != nil {
+		if err := sweep.WriteRecordsFile(*jsonPath, records); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %d records to %s", len(records), *jsonPath)
@@ -119,8 +120,8 @@ func fileStats(path string) (surfcomm.Estimate, error) {
 }
 
 // record converts a frontend estimate to the shared cell format.
-func record(seed int64, cell string, est surfcomm.Estimate) surfcomm.SweepCellResult {
-	return surfcomm.SweepCellResult{
+func record(seed int64, cell string, est surfcomm.Estimate) sweep.CellResult {
+	return sweep.CellResult{
 		Study:  "frontend",
 		Cell:   cell,
 		Seed:   seed,

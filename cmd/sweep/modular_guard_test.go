@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"surfcomm"
+	"surfcomm/internal/sweep"
 )
 
 // TestBenchModularDriftAndSpeedup drift-guards the committed
@@ -31,7 +31,7 @@ func TestBenchModularDriftAndSpeedup(t *testing.T) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	var committed []surfcomm.SweepCellResult
+	var committed []sweep.CellResult
 	if err := dec.Decode(&committed); err != nil {
 		t.Fatalf("BENCH_modular.json no longer matches the sweep record schema: %v", err)
 	}

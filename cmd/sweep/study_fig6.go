@@ -1,0 +1,65 @@
+package main
+
+import (
+	"context"
+	"fmt"
+	"strings"
+
+	"surfcomm"
+	"surfcomm/internal/sweep"
+)
+
+// runFig6 prints Figure 6: every application under braid Policies 0-6
+// on the tiled double-defect architecture — schedule length over
+// critical path (the paper's bars), mesh utilization (its curve), and
+// the engine's placement counters. With -verify every static schedule
+// is recorded and replay-validated (dependencies respected, no
+// double-booked tiles, junctions or links).
+func runFig6(ctx context.Context, e *env) ([]sweep.CellResult, error) {
+	cells, err := sweep.Figure6(ctx, e.grid("fig6"), sweep.Figure6Options{
+		Distance:       e.distance,
+		LocalTOps:      e.localT,
+		RecordSchedule: e.verify,
+		App:            e.app,
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	fmt.Fprintf(e.out, "Figure 6: braid schedule / critical path and mesh utilization (d=%d)\n", e.distance)
+	if e.localT {
+		fmt.Fprintln(e.out, "ablation: magic-state traffic disabled")
+	}
+	rule := strings.Repeat("-", 84)
+	fmt.Fprintln(e.out, rule)
+	fmt.Fprintf(e.out, "%-8s %-10s %12s %12s %10s %10s %10s\n",
+		"App", "Policy", "ratio", "util %", "braids", "adaptive", "reinject")
+
+	suite := map[string]*surfcomm.Circuit{}
+	for _, w := range surfcomm.Fig6Suite() {
+		suite[w.Name] = w.Circuit
+	}
+	lastApp := ""
+	for _, c := range cells {
+		if lastApp != "" && c.App != lastApp {
+			fmt.Fprintln(e.out, rule)
+		}
+		lastApp = c.App
+		status := ""
+		if e.verify {
+			if err := surfcomm.ReplayBraidSchedule(suite[c.App], c.Result.Arch, c.Result.Schedule); err != nil {
+				return nil, fmt.Errorf("%s Policy %d: replay validation failed: %w", c.App, c.Policy, err)
+			}
+			status = fmt.Sprintf("  replay-ok (%d entries)", len(c.Result.Schedule))
+		}
+		fmt.Fprintf(e.out, "%-8s Policy %-3d %12.2f %12.1f %10d %10d %10d%s\n",
+			c.App, c.Policy, c.Ratio, 100*c.Util, c.Braids, c.Adaptive, c.Reinjections, status)
+	}
+	if lastApp != "" {
+		fmt.Fprintln(e.out, rule)
+	}
+	fmt.Fprintln(e.out, "Paper: parallel apps (SHA-1, IM) start up to ~12x above the critical path and")
+	fmt.Fprintln(e.out, "policies recover up to ~7x, while serial apps are near-critical-path throughout;")
+	fmt.Fprintln(e.out, "utilization rises with policy sophistication (up to ~22%).")
+	return sweep.Figure6Records(e.seed, cells), nil
+}

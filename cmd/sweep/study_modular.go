@@ -7,9 +7,10 @@ import (
 	"time"
 
 	"surfcomm"
+	"surfcomm/internal/sweep"
 )
 
-// The -modular study behind BENCH_modular.json: for each pipeline size
+// The modular study behind BENCH_modular.json: for each pipeline size
 // N it compiles the N-stage hierarchical workload three ways —
 // monolithic (flatten + full compile), cold incremental (every module
 // dirty), and warm incremental after a one-leaf edit — and records how
@@ -41,8 +42,8 @@ const modularWallReps = 5
 // wall_* metrics are omitted entirely — the guard test regenerates the
 // deterministic fields this way and compares them against the
 // committed artifact.
-func modularCells(ctx context.Context, seed int64, workers int, measureWall bool) ([]surfcomm.SweepCellResult, error) {
-	var cells []surfcomm.SweepCellResult
+func modularCells(ctx context.Context, seed int64, workers int, measureWall bool) ([]sweep.CellResult, error) {
+	var cells []sweep.CellResult
 	for _, n := range modularSizes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -136,7 +137,7 @@ func modularCells(ctx context.Context, seed int64, workers int, measureWall bool
 			}
 		}
 
-		cells = append(cells, surfcomm.SweepCellResult{
+		cells = append(cells, sweep.CellResult{
 			Study:   "modular",
 			Cell:    fmt.Sprintf("pipeline/N=%d", n),
 			Seed:    seed,
@@ -181,25 +182,24 @@ func bestOf(reps int, fn func(rep int) error) (float64, error) {
 	return best, nil
 }
 
-// runModular prints the incremental-compilation study and appends its
+// runModular prints the incremental-compilation study and returns its
 // cells (the BENCH_modular.json payload).
-func runModular(ctx context.Context, seed int64, workers int, records *[]surfcomm.SweepCellResult) error {
-	cells, err := modularCells(ctx, seed, workers, true)
+func runModular(ctx context.Context, e *env) ([]sweep.CellResult, error) {
+	cells, err := modularCells(ctx, e.seed, e.workers, true)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	*records = append(*records, cells...)
-	fmt.Println("\nHierarchical incremental compilation: monolithic vs per-module caching")
-	fmt.Println(strings.Repeat("-", 78))
-	fmt.Printf("%-6s %8s %10s %10s %10s %10s %12s\n",
+	fmt.Fprintln(e.out, "Hierarchical incremental compilation: monolithic vs per-module caching")
+	fmt.Fprintln(e.out, strings.Repeat("-", 78))
+	fmt.Fprintf(e.out, "%-6s %8s %10s %10s %10s %10s %12s\n",
 		"N", "modules", "work mono", "work incr", "speedup", "phases", "wall speedup")
 	for _, c := range cells {
 		m := c.Metrics
-		fmt.Printf("%-6s %8.0f %10.0f %10.0f %9.1fx %10.0f %11.1fx\n",
+		fmt.Fprintf(e.out, "%-6s %8.0f %10.0f %10.0f %9.1fx %10.0f %11.1fx\n",
 			strings.TrimPrefix(c.Cell, "pipeline/N="), m["modules"],
 			m["work_mono"], m["work_incr"], m["speedup_work"],
 			m["stitch_phases"], m["wall_speedup"])
 	}
-	fmt.Println("Editing one leaf recompiles one module; everything else links from cache.")
-	return nil
+	fmt.Fprintln(e.out, "Editing one leaf recompiles one module; everything else links from cache.")
+	return cells, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"surfcomm"
+	"surfcomm/internal/apps"
 )
 
 // planDigest FNV-hashes the externally visible identity of a Plan: the
@@ -47,7 +48,7 @@ func TestEveryBackendPerfectDeviceBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	c := apps.GSE(apps.GSEConfig{M: 10, Steps: 2})
 	record := func(tg *surfcomm.Target) { tg.RecordSchedule = true }
 	for _, b := range surfcomm.Backends() {
 		pb, err := base.Compile(ctx, b, c, record)
@@ -87,7 +88,7 @@ func TestEveryBackendUnroutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	c := apps.GSE(apps.GSEConfig{M: 10, Steps: 2})
 	for _, b := range surfcomm.Backends() {
 		_, err := tc.Compile(ctx, b, c)
 		if !errors.Is(err, surfcomm.ErrUnroutable) {
@@ -108,7 +109,7 @@ func TestDefectiveDeviceCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	c := apps.GSE(apps.GSEConfig{M: 10, Steps: 2})
 	for _, b := range surfcomm.Backends() {
 		plan, err := tc.Compile(ctx, b, c)
 		if errors.Is(err, surfcomm.ErrUnroutable) {
@@ -122,33 +123,6 @@ func TestDefectiveDeviceCompiles(t *testing.T) {
 		}
 		if plan.Cycles <= 0 {
 			t.Errorf("%s: empty schedule", b.Name())
-		}
-	}
-}
-
-// TestYieldGridViaToolchain runs the yield study through the facade and
-// checks worker-count invariance end to end.
-func TestYieldGridViaToolchain(t *testing.T) {
-	ctx := context.Background()
-	yopt := surfcomm.SweepYieldOptions{Distance: 5, Fractions: []float64{0, 0.02}, Trials: 2}
-	run := func(workers int) []surfcomm.SweepYieldCell {
-		tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1), surfcomm.WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells, err := tc.YieldGrid(ctx, yopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cells
-	}
-	serial, parallel := run(1), run(4)
-	if len(serial) != 4 || len(parallel) != 4 {
-		t.Fatalf("cell counts: %d, %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("cell %d differs: %+v vs %+v", i, serial[i], parallel[i])
 		}
 	}
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,12 +36,20 @@ func main() {
 	fmt.Println("frontend estimate:")
 	fmt.Printf("  %s\n\n", est)
 
-	// Double-defect backend: braided communication under the combined
-	// priority policy.
-	braidRes, err := surfcomm.SimulateBraids(c, surfcomm.Policy6, surfcomm.BraidConfig{Distance: 9})
+	// One toolchain, two backends: the defaults are distance 9 and the
+	// combined priority policy (Policy 6).
+	ctx := context.Background()
+	tc, err := surfcomm.NewToolchain()
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// Double-defect backend: braided communication.
+	plan, err := tc.Compile(ctx, surfcomm.BraidBackend{}, c)
+	if err != nil {
+		log.Fatal(err)
+	}
+	braidRes := plan.Braid
 	fmt.Println("double-defect (braids, Policy 6):")
 	fmt.Printf("  schedule %d cycles, critical path %d, ratio %.2f\n",
 		braidRes.ScheduleCycles, braidRes.CriticalPathCycles, braidRes.Ratio)
@@ -49,15 +58,13 @@ func main() {
 
 	// Planar backend: Multi-SIMD schedule plus just-in-time EPR
 	// distribution.
-	sched, err := surfcomm.ScheduleSIMD(c, surfcomm.SIMDConfig{Regions: 4, Width: 8})
+	plan, err = tc.Compile(ctx, surfcomm.PlanarBackend{}, c, func(t *surfcomm.Target) {
+		t.SIMD = surfcomm.SIMDConfig{Regions: 4, Width: 8}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := surfcomm.TeleportConfig{Distance: 9}
-	epr, err := surfcomm.DistributeEPR(sched, surfcomm.JITWindow(sched, cfg), cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sched, epr := plan.SIMD, plan.EPR
 	fmt.Println("planar (Multi-SIMD + teleportation, JIT window):")
 	fmt.Printf("  %d timesteps (%d critical), %d teleports, %d magic deliveries\n",
 		sched.Timesteps, sched.CriticalTimesteps, sched.Teleports, sched.MagicMoves)

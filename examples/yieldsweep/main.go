@@ -3,8 +3,8 @@
 // pluggable device-topology layer exists for. Real superconducting
 // chips have dead tiles, broken couplers, and slow links; this example
 // compares the perfect grid against random-yield and clustered-defect
-// realizations of the same machine, then runs the deterministic
-// YieldGrid study through the Toolchain.
+// realizations of the same machine; `go run ./cmd/sweep -study yield`
+// runs the systematic study.
 package main
 
 import (
@@ -20,7 +20,10 @@ func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
 
-	c := surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	c, err := surfcomm.NewGSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// One compile per device model, same circuit, same seed: any cost
 	// difference is the topology's doing.
@@ -51,29 +54,5 @@ func main() {
 			plan.Device, plan.Cycles, plan.Braid.Ratio, plan.Braid.AdaptiveRoutes)
 	}
 
-	// The systematic version: the YieldGrid study sweeps defect
-	// fractions with independent device realizations per fraction.
-	// Per-cell seeds derive from the toolchain seed, so the records are
-	// bit-identical at any worker count.
-	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1), surfcomm.WithWorkers(4))
-	if err != nil {
-		log.Fatal(err)
-	}
-	cells, err := tc.YieldGrid(ctx, surfcomm.SweepYieldOptions{
-		Fractions: []float64{0, 0.02, 0.05},
-		Trials:    2,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nyield study (logical error rate & latency vs. defect fraction):")
-	fmt.Printf("  %-10s %6s %10s %8s %12s\n", "p_defect", "trial", "cycles", "ratio", "p_L(sched)")
-	for _, cell := range cells {
-		if cell.Unroutable {
-			fmt.Printf("  %-10g %6d %10s\n", cell.DefectFrac, cell.Trial, "unroutable")
-			continue
-		}
-		fmt.Printf("  %-10g %6d %10d %8.3f %12.3e\n",
-			cell.DefectFrac, cell.Trial, cell.Cycles, cell.Ratio, cell.LogicalRate)
-	}
+	fmt.Println("\nThe systematic version (defect fraction x device realization): go run ./cmd/sweep -study yield")
 }

@@ -239,6 +239,10 @@ func (rt *Router) handleDecodeStream(w http.ResponseWriter, r *http.Request) {
 	}
 	u := rep.base.JoinPath(r.URL.Path)
 	u.RawQuery = r.URL.RawQuery
+	// The transport reads the body from its own goroutine; settling it
+	// here too serializes with that read (the body locks each read) and
+	// leaves nothing for the server to read after the handler returns.
+	defer service.FinishBody(w, r.Body)
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), r.Body)
 	if err != nil {
 		http.Error(w, "cluster: building upstream request: "+err.Error(), http.StatusInternalServerError)

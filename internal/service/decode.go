@@ -388,6 +388,7 @@ func handleDecode(s *Service) http.HandlerFunc {
 		// ignorable.)
 		rc := http.NewResponseController(w)
 		rc.EnableFullDuplex() //nolint:errcheck // see comment
+		defer FinishBody(w, r.Body)
 		if err := s.AllowClient(s.ClientKeyFor(r), 1); err != nil {
 			writeErr(w, err)
 			return
@@ -453,6 +454,24 @@ func handleDecode(s *Service) http.HandlerFunc {
 			}
 		}
 	}
+}
+
+// BodyGrace bounds how long a full-duplex handler that is done with its
+// response waits for the client to end the request body.
+const BodyGrace = 250 * time.Millisecond
+
+// FinishBody reads what is left of a full-duplex request body, for at
+// most BodyGrace, before the handler returns. A client typically closes
+// its body just after the server ended the stream; if that end arrived
+// only after the handler returned, net/http's own post-handler drain
+// would see it and start a background read that collides with its read
+// of the next request on the kept-alive connection ("invalid concurrent
+// Body.Read call"). Reading to EOF here settles the body inside the
+// handler. A client that keeps sending runs into the deadline instead,
+// and its connection is closed rather than reused.
+func FinishBody(w http.ResponseWriter, body io.Reader) {
+	http.NewResponseController(w).SetReadDeadline(time.Now().Add(BodyGrace)) //nolint:errcheck
+	io.Copy(io.Discard, body)                                                //nolint:errcheck
 }
 
 // maxDecodeStreamBytes caps one session's total request bytes — at the

@@ -281,20 +281,9 @@ func (s *Service) resolve(req Request) (compileKey, error) {
 	if err != nil {
 		return compileKey{}, err
 	}
-	if strings.TrimSpace(req.QASM) == "" {
-		return compileKey{}, scerr.BadConfig("service: empty qasm")
-	}
-	var (
-		circ *surfcomm.Circuit
-		prog *surfcomm.Program
-	)
-	if surfcomm.LooksHierarchicalQASM(req.QASM) {
-		prog, err = surfcomm.ReadProgramQASM(strings.NewReader(req.QASM))
-	} else {
-		circ, err = surfcomm.ReadQASM(strings.NewReader(req.QASM))
-	}
+	circ, prog, canon, err := canonicalQASM(req.QASM)
 	if err != nil {
-		return compileKey{}, scerr.BadConfig("service: qasm: %v", err)
+		return compileKey{}, err
 	}
 
 	if req.Distance < 0 {
@@ -337,28 +326,39 @@ func (s *Service) resolve(req Request) (compileKey, error) {
 		}
 		target.Device = target.Device.WithCalibration(cal)
 	}
-
-	// Canonical circuit bytes: re-emit the parsed circuit (or program)
-	// so spacing and comments in the submitted text do not split the
-	// cache key. The two dialects canonicalize into disjoint byte
-	// spaces (flat text opens with a comment/qubits line, hierarchical
-	// with an entry directive), so they can never collide on a digest.
-	var canon bytes.Buffer
-	if prog != nil {
-		err = surfcomm.WriteProgramQASM(&canon, prog)
-	} else {
-		err = surfcomm.WriteQASM(&canon, circ)
-	}
-	if err != nil {
-		return compileKey{}, scerr.BadConfig("service: qasm: %v", err)
-	}
 	return compileKey{
 		backend: backend,
 		circuit: circ,
 		program: prog,
 		target:  target,
-		digest:  digest(name, canon.Bytes(), target),
+		digest:  digest(name, canon, target),
 	}, nil
+}
+
+// canonicalQASM parses a request's QASM in whichever dialect it is
+// written (exactly one of circ and prog is non-nil) and re-emits it, so
+// spacing and comments in the submitted text do not split the cache
+// digest or the routing key. The two dialects canonicalize into
+// disjoint byte spaces (flat text opens with a comment/qubits line,
+// hierarchical with an entry directive), so they can never collide.
+func canonicalQASM(qasm string) (circ *surfcomm.Circuit, prog *surfcomm.Program, canon []byte, err error) {
+	if strings.TrimSpace(qasm) == "" {
+		return nil, nil, nil, scerr.BadConfig("service: empty qasm")
+	}
+	var buf bytes.Buffer
+	if surfcomm.LooksHierarchicalQASM(qasm) {
+		if prog, err = surfcomm.ReadProgramQASM(strings.NewReader(qasm)); err == nil {
+			err = surfcomm.WriteProgramQASM(&buf, prog)
+		}
+	} else {
+		if circ, err = surfcomm.ReadQASM(strings.NewReader(qasm)); err == nil {
+			err = surfcomm.WriteQASM(&buf, circ)
+		}
+	}
+	if err != nil {
+		return nil, nil, nil, scerr.BadConfig("service: qasm: %v", err)
+	}
+	return circ, prog, buf.Bytes(), nil
 }
 
 // digest fingerprints a resolved compile: backend name, every
@@ -382,34 +382,17 @@ func digest(backend string, canonicalQASM []byte, t surfcomm.Target) string {
 // RoutingKey fingerprints a request for consistent-hash routing across
 // a replica fleet: requests that would resolve to the same compile on
 // any replica share a key, so each shard's LRU and disk store stay hot
-// for their slice of the keyspace. It canonicalizes the circuit exactly
-// like resolve (whitespace and comments don't split shards) but hashes
+// for their slice of the keyspace. It canonicalizes the circuit through
+// the same canonicalQASM as resolve (whitespace and comments don't split shards) but hashes
 // the raw request knobs rather than a resolved target — the router
 // doesn't know each replica's defaults, and it doesn't need to: the key
 // only has to be consistent, not equal to the replica's cache digest.
 // Malformed requests fail with errors matching scerr.ErrBadConfig so a
 // router can answer 400 without spending a replica's time.
 func RoutingKey(req Request) (string, error) {
-	if strings.TrimSpace(req.QASM) == "" {
-		return "", scerr.BadConfig("service: empty qasm")
-	}
-	var canon bytes.Buffer
-	if surfcomm.LooksHierarchicalQASM(req.QASM) {
-		prog, err := surfcomm.ReadProgramQASM(strings.NewReader(req.QASM))
-		if err != nil {
-			return "", scerr.BadConfig("service: qasm: %v", err)
-		}
-		if err := surfcomm.WriteProgramQASM(&canon, prog); err != nil {
-			return "", scerr.BadConfig("service: qasm: %v", err)
-		}
-	} else {
-		circ, err := surfcomm.ReadQASM(strings.NewReader(req.QASM))
-		if err != nil {
-			return "", scerr.BadConfig("service: qasm: %v", err)
-		}
-		if err := surfcomm.WriteQASM(&canon, circ); err != nil {
-			return "", scerr.BadConfig("service: qasm: %v", err)
-		}
+	_, _, canon, err := canonicalQASM(req.QASM)
+	if err != nil {
+		return "", err
 	}
 	backend := req.Backend
 	if backend == "" {
@@ -432,7 +415,7 @@ func RoutingKey(req Request) (string, error) {
 		// spend parse time, and the key only has to be consistent.
 		fmt.Fprintf(h, "cal=%x\n", sha256.Sum256(req.Calibration))
 	}
-	h.Write(canon.Bytes())
+	h.Write(canon)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 

@@ -56,7 +56,11 @@ func newService(t *testing.T, cfg service.Config) *service.Service {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return service.New(tc, cfg)
+	svc := service.New(tc, cfg)
+	// Close flushes the write-behind store queue, so no save outlives
+	// the test (and races its TempDir cleanup). It is idempotent.
+	t.Cleanup(svc.Close)
+	return svc
 }
 
 // TestCacheHitMatchesFreshCompile is the tentpole acceptance property:

@@ -201,7 +201,7 @@ type Figure6Cell struct {
 	Util   float64
 	Cycles int64
 	// Braids/Adaptive/Reinjections expose the engine's placement
-	// counters (the cmd/braidsim columns).
+	// counters (the cmd/sweep fig6 columns).
 	Braids       int64
 	Adaptive     int64
 	Reinjections int64

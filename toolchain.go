@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"surfcomm/internal/decoder"
 	"surfcomm/internal/modcompile"
 	"surfcomm/internal/resource"
 	"surfcomm/internal/scerr"
 	"surfcomm/internal/sweep"
-	"surfcomm/internal/teleport"
 	"surfcomm/internal/toolflow"
 )
 
@@ -20,8 +18,8 @@ import (
 // grid has progressed. Events let callers stream partial results of
 // wide studies instead of waiting for the full grid.
 type Event struct {
-	// Stage names the pipeline stage: "characterize", "compile",
-	// "cost", "figure6", "curve", "boundary", "epr", or "decoder".
+	// Stage names the pipeline stage: "estimate", "characterize",
+	// "compile", "cost", "curve", "boundary", or "decoder".
 	Stage string
 	// Backend is the compiling backend's name (compile events only).
 	Backend string
@@ -131,7 +129,7 @@ func WithSeed(s int64) ToolchainOption {
 }
 
 // WithDecoderStrategy selects the decoding algorithm behind
-// MeasureLogicalErrorRate and DecoderGrid by name: "mwpm" (the
+// MeasureLogicalErrorRate by name: "mwpm" (the
 // matching-based default) or "unionfind" (the almost-linear-time
 // union-find decoder). Unknown names fail with ErrBadConfig listing
 // the registered strategies; the empty name keeps the default.
@@ -165,7 +163,7 @@ func WithProgress(fn func(Event)) ToolchainOption {
 // toolflow (Fig. 4) behind one entry point: it characterizes
 // applications, compiles them through the interchangeable communication
 // backends, and costs design points across the evaluation grids of
-// Figures 6–9 — with one shared option set (policy, distance,
+// Figures 7–9 — with one shared option set (policy, distance,
 // technology, workers, seed), cooperative cancellation on every
 // long-running path, and structured progress events.
 //
@@ -391,29 +389,6 @@ func (tc *Toolchain) Run(ctx context.Context, w Workload, totalOps float64) (Pip
 	return PipelineResult{Model: m, Plans: plans, Point: sp}, nil
 }
 
-// Figure6 runs the braid policy grid (every suite application under
-// every policy) across the worker pool. The zero Figure6Options value
-// selects the toolchain's distance and the full suite.
-func (tc *Toolchain) Figure6(ctx context.Context, fopt SweepFigure6Options) ([]SweepFigure6Cell, error) {
-	if fopt.Distance == 0 {
-		fopt.Distance = tc.distance
-	}
-	var label func(int) string
-	if tc.progress != nil {
-		var labels []string
-		for _, w := range Fig6Suite() {
-			if fopt.App != "" && !strings.EqualFold(fopt.App, w.Name) {
-				continue
-			}
-			for _, p := range AllBraidPolicies {
-				labels = append(labels, fmt.Sprintf("%s/policy%d", w.Name, int(p)))
-			}
-		}
-		label = func(i int) string { return labels[i] }
-	}
-	return sweep.Figure6(ctx, tc.sweepOpts("figure6", label), fopt)
-}
-
 // Curve evaluates a log-spaced K sweep for one model (the Figure 7/8
 // series) at the toolchain's technology.
 func (tc *Toolchain) Curve(ctx context.Context, m AppModel, fromExp, toExp, pointsPerDecade int) ([]DesignPoint, error) {
@@ -453,60 +428,4 @@ func (tc *Toolchain) MeasureLogicalErrorRate(ctx context.Context, d int, p float
 	}
 	tc.emit(Event{Stage: "decoder", Cell: fmt.Sprintf("d=%d/p=%.2e", d, p), Total: 1})
 	return res, nil
-}
-
-// DecoderGrid runs the §2.3 error-model validation grid (distance ×
-// physical rate, Monte Carlo per cell) across the worker pool, with
-// per-cell seeds derived from the toolchain's seed.
-func (tc *Toolchain) DecoderGrid(ctx context.Context, distances []int, rates []float64, trials int) ([]SweepDecoderCell, error) {
-	var label func(int) string
-	if tc.progress != nil && len(rates) > 0 {
-		label = func(i int) string {
-			return fmt.Sprintf("d=%d/p=%.2e", distances[i/len(rates)], rates[i%len(rates)])
-		}
-	}
-	return sweep.DecoderGrid(ctx, tc.sweepOpts("decoder", label), distances, rates, trials, tc.decodeStrategy)
-}
-
-// YieldGrid runs the communication-yield study: the braid backend
-// compiled across a grid of defective devices (defect fraction ×
-// independent realizations), reporting schedule latency and logical
-// error rate per cell. Per-cell device seeds derive deterministically
-// from the toolchain's seed, so records are bit-identical at any
-// worker count; unroutable realizations are recorded, not fatal.
-func (tc *Toolchain) YieldGrid(ctx context.Context, yopt SweepYieldOptions) ([]SweepYieldCell, error) {
-	var label func(int) string
-	if tc.progress != nil {
-		label = func(i int) string { return fmt.Sprintf("cell%d", i) }
-	}
-	return sweep.YieldGrid(ctx, tc.sweepOpts("yield", label), yopt)
-}
-
-// CalibGrid runs the calibration study: square vs. heavy-hex coupling,
-// uniform vs. calibrated devices, and live-defect survival, compiled
-// through the braid backend across the worker pool. Per-cell seeds
-// derive deterministically from the toolchain's seed.
-func (tc *Toolchain) CalibGrid(ctx context.Context, copt SweepCalibOptions) ([]SweepCalibCell, error) {
-	if copt.Calibration == nil {
-		copt.Calibration = tc.calibration
-	}
-	var label func(int) string
-	if tc.progress != nil {
-		label = func(i int) string { return fmt.Sprintf("cell%d", i) }
-	}
-	return sweep.CalibGrid(ctx, tc.sweepOpts("calib", label), copt)
-}
-
-// EPRStudy runs the §8.1 pipelined-EPR window study per suite
-// application at the toolchain's distance.
-func (tc *Toolchain) EPRStudy(ctx context.Context) ([]SweepEPRCell, error) {
-	var label func(int) string
-	if tc.progress != nil {
-		names := make([]string, 0, 4)
-		for _, w := range Fig6Suite() {
-			names = append(names, w.Name)
-		}
-		label = func(i int) string { return names[i] }
-	}
-	return sweep.EPRWindows(ctx, tc.sweepOpts("epr", label), teleport.Config{Distance: tc.distance})
 }

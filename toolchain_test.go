@@ -1,7 +1,6 @@
 package surfcomm_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -11,14 +10,19 @@ import (
 	"time"
 
 	"surfcomm"
+	"surfcomm/internal/apps"
+	"surfcomm/internal/braid"
+	"surfcomm/internal/simd"
+	"surfcomm/internal/sweep"
+	"surfcomm/internal/teleport"
 )
 
-// --- API parity: the Toolchain must reproduce the deprecated
-// free-function paths byte-for-byte at the same seed. ---
+// --- API parity: the Toolchain backends must reproduce the engines
+// they wrap byte-for-byte at the same seed. ---
 
 // TestBraidBackendParity compiles every Fig6Suite workload through
 // Toolchain.Compile and asserts the plan — including the recorded
-// static schedule — is identical to the deprecated SimulateBraids path.
+// static schedule — is identical to a direct braid.Simulate run.
 func TestBraidBackendParity(t *testing.T) {
 	tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithSeed(1))
 	if err != nil {
@@ -30,19 +34,19 @@ func TestBraidBackendParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		ref, err := surfcomm.SimulateBraids(w.Circuit, surfcomm.Policy6,
-			surfcomm.BraidConfig{Distance: 5, Seed: 1, RecordSchedule: true})
+		ref, err := braid.Simulate(w.Circuit, braid.Policy6,
+			braid.Config{Distance: 5, Seed: 1, RecordSchedule: true})
 		if err != nil {
-			t.Fatalf("%s: deprecated path: %v", w.Name, err)
+			t.Fatalf("%s: direct engine: %v", w.Name, err)
 		}
 		if plan.Cycles != ref.ScheduleCycles {
-			t.Errorf("%s: plan cycles %d != deprecated %d", w.Name, plan.Cycles, ref.ScheduleCycles)
+			t.Errorf("%s: plan cycles %d != engine %d", w.Name, plan.Cycles, ref.ScheduleCycles)
 		}
 		if plan.PhysicalQubits != float64(ref.PhysicalQubits) {
-			t.Errorf("%s: plan qubits %g != deprecated %d", w.Name, plan.PhysicalQubits, ref.PhysicalQubits)
+			t.Errorf("%s: plan qubits %g != engine %d", w.Name, plan.PhysicalQubits, ref.PhysicalQubits)
 		}
 		if plan.CommOps != ref.BraidsPlaced {
-			t.Errorf("%s: plan comm ops %d != deprecated %d", w.Name, plan.CommOps, ref.BraidsPlaced)
+			t.Errorf("%s: plan comm ops %d != engine %d", w.Name, plan.CommOps, ref.BraidsPlaced)
 		}
 		if !reflect.DeepEqual(plan.Braid.Schedule, ref.Schedule) {
 			t.Errorf("%s: recorded schedules diverge (%d vs %d entries)",
@@ -53,7 +57,7 @@ func TestBraidBackendParity(t *testing.T) {
 
 // TestPlanarBackendParity compiles every Fig6Suite workload through the
 // planar backend and asserts the fused schedule + distribution match
-// the deprecated ScheduleSIMD → JITWindow → DistributeEPR chain.
+// the direct simd.Run → teleport.JITWindow → teleport.Distribute chain.
 func TestPlanarBackendParity(t *testing.T) {
 	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1))
 	if err != nil {
@@ -72,15 +76,14 @@ func TestPlanarBackendParity(t *testing.T) {
 		if perBank := (w.Circuit.NumQubits + regions - 1) / regions; perBank > width {
 			width = perBank
 		}
-		sched, err := surfcomm.ScheduleSIMD(w.Circuit,
-			surfcomm.SIMDConfig{Regions: regions, Width: width, Seed: 1})
+		sched, err := simd.Run(w.Circuit, simd.Config{Regions: regions, Width: width, Seed: 1})
 		if err != nil {
-			t.Fatalf("%s: deprecated path: %v", w.Name, err)
+			t.Fatalf("%s: direct engine: %v", w.Name, err)
 		}
-		cfg := surfcomm.TeleportConfig{Distance: 9}
-		ref, err := surfcomm.DistributeEPR(sched, surfcomm.JITWindow(sched, cfg), cfg)
+		cfg := teleport.Config{Distance: 9}
+		ref, err := teleport.Distribute(sched, teleport.JITWindow(sched, cfg), cfg)
 		if err != nil {
-			t.Fatalf("%s: deprecated path: %v", w.Name, err)
+			t.Fatalf("%s: direct engine: %v", w.Name, err)
 		}
 		if *plan.EPR != ref {
 			t.Errorf("%s: EPR result diverges: %+v vs %+v", w.Name, *plan.EPR, ref)
@@ -90,7 +93,7 @@ func TestPlanarBackendParity(t *testing.T) {
 				w.Name, len(plan.SIMD.Moves), len(sched.Moves))
 		}
 		if plan.Cycles != ref.ScheduleCycles {
-			t.Errorf("%s: plan cycles %d != deprecated %d", w.Name, plan.Cycles, ref.ScheduleCycles)
+			t.Errorf("%s: plan cycles %d != engine %d", w.Name, plan.Cycles, ref.ScheduleCycles)
 		}
 	}
 }
@@ -146,101 +149,6 @@ func syntheticModel(name string) surfcomm.AppModel {
 	}
 }
 
-// TestToolchainRecordParity asserts the Toolchain grids serialize to
-// byte-identical JSON records as the deprecated Sweep* free functions
-// at the same seed — the BENCH_sweep.json compatibility guarantee.
-func TestToolchainRecordParity(t *testing.T) {
-	ctx := context.Background()
-	const seed = 3
-	tc, err := surfcomm.NewToolchain(
-		surfcomm.WithSeed(seed),
-		surfcomm.WithTechnology(surfcomm.Superconducting(1e-6)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := surfcomm.SweepOptions{Seed: seed}
-
-	workloads := []surfcomm.Workload{
-		{Name: "GSE", Circuit: surfcomm.GSE(surfcomm.GSEConfig{M: 4, Steps: 1})},
-		{Name: "IM", Circuit: surfcomm.Ising(surfcomm.IsingConfig{N: 10, Steps: 1}, true)},
-	}
-	newModels, err := tc.Characterize(ctx, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldModels, err := surfcomm.SweepCharacterize(opt, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var newRecs, oldRecs []surfcomm.SweepCellResult
-	newRecs = append(newRecs, surfcomm.SweepModelRecords(seed, newModels)...)
-	oldRecs = append(oldRecs, surfcomm.SweepModelRecords(seed, oldModels)...)
-
-	m := syntheticModel("synthetic")
-	newCurve, err := tc.Curve(ctx, m, 0, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldCurve, err := surfcomm.SweepCurve(opt, m, 1e-6, 0, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRecs = append(newRecs, surfcomm.SweepCurveRecords("figure7", m.Name, 1e-6, seed, newCurve)...)
-	oldRecs = append(oldRecs, surfcomm.SweepCurveRecords("figure7", m.Name, 1e-6, seed, oldCurve)...)
-
-	models := []surfcomm.AppModel{m, syntheticModel("synthetic2")}
-	rates := surfcomm.Figure9ErrorRates()
-	newBound, err := tc.Boundary(ctx, models, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldBound, err := surfcomm.SweepBoundary(opt, models, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRecs = append(newRecs, surfcomm.SweepBoundaryRecords(seed, models, newBound)...)
-	oldRecs = append(oldRecs, surfcomm.SweepBoundaryRecords(seed, models, oldBound)...)
-
-	var a, b bytes.Buffer
-	if err := surfcomm.WriteSweepRecords(&a, newRecs); err != nil {
-		t.Fatal(err)
-	}
-	if err := surfcomm.WriteSweepRecords(&b, oldRecs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("toolchain records differ from deprecated free-function records")
-	}
-}
-
-// TestFigure6GridParity runs the Figure 6 grid both ways at a reduced
-// distance and compares the serialized records byte-for-byte.
-func TestFigure6GridParity(t *testing.T) {
-	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newCells, err := tc.Figure6(context.Background(), surfcomm.SweepFigure6Options{Distance: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldCells, err := surfcomm.SweepFigure6(surfcomm.SweepOptions{Seed: 1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := surfcomm.WriteSweepRecords(&a, surfcomm.SweepFigure6Records(1, newCells)); err != nil {
-		t.Fatal(err)
-	}
-	if err := surfcomm.WriteSweepRecords(&b, surfcomm.SweepFigure6Records(1, oldCells)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("Figure 6 grid records differ between toolchain and deprecated path")
-	}
-}
-
 // --- Cancellation: every backend must abort a canceled compile with
 // ErrCanceled and leak no goroutines. ---
 
@@ -264,7 +172,7 @@ func testBackendCancellation(t *testing.T, b surfcomm.Backend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	circ := surfcomm.Ising(surfcomm.IsingConfig{N: 32, Steps: 1}, true)
+	circ := apps.Ising(apps.IsingConfig{N: 32, Steps: 1}, true)
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -297,18 +205,12 @@ func TestFigure6CancellationBounded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	events := 0
-	tc, err := surfcomm.NewToolchain(
-		surfcomm.WithWorkers(2),
-		surfcomm.WithProgress(func(ev surfcomm.Event) {
-			events++ // serialized by the grid runner
-			cancel()
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := sweep.Options{Workers: 2, Seed: 1, Progress: func(int, int) {
+		events++ // serialized by the grid runner
+		cancel()
+	}}
 	baseline := runtime.NumGoroutine()
-	_, err = tc.Figure6(ctx, surfcomm.SweepFigure6Options{Distance: 9})
+	_, err := sweep.Figure6(ctx, opt, sweep.Figure6Options{Distance: 9})
 	if !errors.Is(err, surfcomm.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -357,11 +259,11 @@ func TestSentinelErrors(t *testing.T) {
 
 	c := surfcomm.NewCircuit("bad", 2)
 	c.Append(surfcomm.OpCNOT, 0, 1)
-	if _, err := surfcomm.SimulateBraids(c, surfcomm.BraidPolicy(42), surfcomm.BraidConfig{}); !errors.Is(err, surfcomm.ErrBadConfig) {
-		t.Errorf("SimulateBraids bad policy: %v, want ErrBadConfig", err)
+	if _, err := braid.Simulate(c, braid.Policy(42), braid.Config{}); !errors.Is(err, surfcomm.ErrBadConfig) {
+		t.Errorf("braid.Simulate bad policy: %v, want ErrBadConfig", err)
 	}
-	if _, err := surfcomm.ScheduleSIMD(c, surfcomm.SIMDConfig{Regions: 3}); !errors.Is(err, surfcomm.ErrBadConfig) {
-		t.Errorf("ScheduleSIMD regions=3: %v, want ErrBadConfig", err)
+	if _, err := simd.Run(c, simd.Config{Regions: 3}); !errors.Is(err, surfcomm.ErrBadConfig) {
+		t.Errorf("simd.Run regions=3: %v, want ErrBadConfig", err)
 	}
 
 	if _, err := surfcomm.ModelFor(nil, "nope"); !errors.Is(err, surfcomm.ErrUnknownModel) {
@@ -389,7 +291,7 @@ func TestToolchainRunPipeline(t *testing.T) {
 	}
 	w := surfcomm.Workload{
 		Name:    "IM",
-		Circuit: surfcomm.Ising(surfcomm.IsingConfig{N: 16, Steps: 1}, true),
+		Circuit: apps.Ising(apps.IsingConfig{N: 16, Steps: 1}, true),
 	}
 	res, err := tc.Run(context.Background(), w, 1e6)
 	if err != nil {
@@ -424,16 +326,16 @@ func TestToolchainRunPipeline(t *testing.T) {
 	}
 }
 
-// TestDecoderWorkerParity pins the decoder paths exposed through the
-// Toolchain: the Monte Carlo failure count and the full validation grid
-// must be bit-identical at every worker count (trial randomness is
-// drawn sequentially from the seed; only decoding work is pooled).
+// TestDecoderWorkerParity pins the decoder paths: the Toolchain's Monte
+// Carlo failure count and the full validation grid must be
+// bit-identical at every worker count (trial randomness is drawn
+// sequentially from the seed; only decoding work is pooled).
 func TestDecoderWorkerParity(t *testing.T) {
 	ctx := context.Background()
 	distances := []int{3, 5}
 	rates := []float64{0.03, 0.08}
 	var refResult surfcomm.DecoderResult
-	var refGrid []surfcomm.SweepDecoderCell
+	var refGrid []sweep.DecoderCell
 	for i, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		tc, err := surfcomm.NewToolchain(surfcomm.WithWorkers(workers), surfcomm.WithSeed(7))
 		if err != nil {
@@ -443,7 +345,7 @@ func TestDecoderWorkerParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid, err := tc.DecoderGrid(ctx, distances, rates, 200)
+		grid, err := sweep.DecoderGrid(ctx, sweep.Options{Workers: workers, Seed: 7}, distances, rates, 200, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
