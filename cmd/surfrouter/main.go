@@ -12,13 +12,14 @@
 //
 //   - Per-replica circuit breakers (Closed→Open→Half-Open) fed by both
 //     live proxy outcomes and an active /readyz prober.
-//   - Bounded failover along each key's rendezvous order on 5xx or
-//     connection failure; 429s relay verbatim (never shop for a fresh
-//     rate bucket); all-owners-open degrades to an honest 503 with
-//     Retry-After.
+//   - Failover to at most three replicas along each key's rendezvous
+//     order on 5xx or connection failure; 429s relay verbatim (never
+//     shop for a fresh rate bucket); all-owners-open degrades to an
+//     honest 503 with Retry-After.
 //   - Optional hedging: with -hedge-percentile, a request that outlives
-//     that percentile of recent latencies is raced against the next
-//     replica on the ring.
+//     that percentile of recent latencies (once 32 are recorded) is
+//     raced against the next replica on the ring; the winner's reply is
+//     relayed whole.
 //   - NDJSON streams (/compile with Accept: application/x-ndjson, and
 //     the full-duplex /decode) pass through unbuffered, flushed per
 //     chunk.
@@ -79,13 +80,10 @@ func main() {
 	addr := flag.String("addr", ":8700", "listen address")
 	var replicas replicaFlags
 	flag.Var(&replicas, "replica", "replica as name=url (repeatable); bare url uses the url as the ring name")
-	maxAttempts := flag.Int("max-attempts", 0, "failover bound per request (0 = min(3, replicas))")
 	failThreshold := flag.Int("fail-threshold", cluster.DefaultFailThreshold, "consecutive failures before a breaker opens")
 	cooldown := flag.Duration("cooldown", cluster.DefaultCooldown, "open-breaker cooldown before a half-open trial")
 	probeInterval := flag.Duration("probe-interval", time.Second, "active /readyz probe period")
-	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe timeout")
 	hedgePercentile := flag.Float64("hedge-percentile", 0, "hedge requests outliving this latency percentile, e.g. 0.95 (0 = off)")
-	hedgeMinSamples := flag.Int("hedge-min-samples", 0, "latency samples required before hedging arms (0 = 32)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain bound")
 	pprofAddr := flag.String("pprof-addr", "",
 		"serve net/http/pprof on this address via a dedicated mux (empty = off; keep it private)")
@@ -103,13 +101,10 @@ func main() {
 	}
 	rt, err := cluster.New(cluster.Config{
 		Replicas:        replicas,
-		MaxAttempts:     *maxAttempts,
 		FailThreshold:   *failThreshold,
 		Cooldown:        *cooldown,
 		ProbeInterval:   *probeInterval,
-		ProbeTimeout:    *probeTimeout,
 		HedgePercentile: *hedgePercentile,
-		HedgeMinSamples: *hedgeMinSamples,
 		Logf:            log.Printf,
 	})
 	if err != nil {
@@ -132,8 +127,8 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("routing %d replicas on %s (failover %d, breaker %d/%s, probe %s)",
-			len(replicas), *addr, *maxAttempts, *failThreshold, *cooldown, *probeInterval)
+		log.Printf("routing %d replicas on %s (breaker %d/%s, probe %s)",
+			len(replicas), *addr, *failThreshold, *cooldown, *probeInterval)
 		errc <- srv.ListenAndServe()
 	}()
 

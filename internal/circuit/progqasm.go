@@ -92,21 +92,6 @@ func ProgramQASMString(p *Program) string {
 	return sb.String()
 }
 
-// ModuleQASMString renders one module body in the canonical per-module
-// form WriteProgramQASM emits — the text the module content digest
-// covers.
-func ModuleQASMString(m *Module) string {
-	var sb strings.Builder
-	bw := bufio.NewWriter(&sb)
-	if err := writeModule(bw, m); err != nil {
-		panic(err)
-	}
-	if err := bw.Flush(); err != nil {
-		panic(err)
-	}
-	return sb.String()
-}
-
 // LooksHierarchicalQASM reports whether the text is in the module-
 // extended dialect (it contains an `entry` or `module` directive before
 // any gate line), so services can route flat and hierarchical requests

@@ -130,14 +130,3 @@ func TestProgramCloneIsDeep(t *testing.T) {
 		t.Error("mutated clone should serialize differently")
 	}
 }
-
-func TestModuleQASMStringCoversBody(t *testing.T) {
-	p := testProgram(t)
-	s := ModuleQASMString(p.Modules["sub"])
-	if !strings.HasPrefix(s, "module sub 2\n") {
-		t.Fatalf("missing header: %q", s)
-	}
-	if !strings.Contains(s, "call leaf q1\n") {
-		t.Fatalf("missing call line: %q", s)
-	}
-}

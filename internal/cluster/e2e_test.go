@@ -51,7 +51,6 @@ func TestClusterEndToEndFailover(t *testing.T) {
 		FailThreshold: 2,
 		Cooldown:      400 * time.Millisecond,
 		ProbeInterval: 100 * time.Millisecond,
-		ProbeTimeout:  500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -33,25 +34,15 @@ type shardResult struct {
 // group's 429 fails the whole batch, because the client's token bucket
 // is shared across replicas via the forwarded client key.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
-	if err != nil {
-		http.Error(w, "cluster: reading request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxProxyBody {
-		http.Error(w, "cluster: request body too large", http.StatusRequestEntityTooLarge)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var reqs []service.Request
 	if err := json.Unmarshal(body, &reqs); err != nil {
 		// Not a request array the router can split: forward verbatim to
 		// one replica and let it produce the authoritative 400.
-		ranked := rt.rankedAllowed("")
-		if len(ranked) == 0 {
-			rt.refuse(w)
-			return
-		}
-		rt.forward(w, r, ranked, body)
+		rt.forward(w, r, "", body)
 		return
 	}
 	if len(reqs) == 0 {
@@ -74,15 +65,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		groups[rt.ring.Owner(key)] = append(groups[rt.ring.Owner(key)], i)
 	}
 
-	results := make([]shardResult, 0, len(groups))
 	owners := make([]string, 0, len(groups))
 	for owner := range groups {
 		owners = append(owners, owner)
 	}
 	sort.Strings(owners)
-	var mu sync.Mutex
+	results := make([]shardResult, len(owners))
 	var wg sync.WaitGroup
-	for _, owner := range owners {
+	for g, owner := range owners {
 		indices := groups[owner]
 		sub := make([]service.Request, len(indices))
 		for j, idx := range indices {
@@ -98,14 +88,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// agree on the head, which is what matters.
 		ranked := rt.rankedAllowed(keys[indices[0]])
 		wg.Add(1)
-		go func(indices []int, ranked []*replica, subBody []byte) {
+		go func() {
 			defer wg.Done()
-			res := rt.doGroup(r, ranked, subBody, len(indices))
-			res.indices = indices
-			mu.Lock()
-			results = append(results, res)
-			mu.Unlock()
-		}(indices, ranked, subBody)
+			results[g] = rt.doGroup(r, ranked, subBody, len(indices))
+			results[g].indices = indices
+		}()
 	}
 	wg.Wait()
 
@@ -131,17 +118,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if allFailed {
-		if sawRetryAfter == "" {
-			rt.refuse(w)
-			return
-		}
-		rt.refused.Add(1)
-		w.Header().Set("Retry-After", sawRetryAfter)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]string{ //nolint:errcheck
-			"error": "cluster: every batch shard failed",
-		})
+		rt.refuse(w, sawRetryAfter)
 		return
 	}
 
@@ -161,59 +138,37 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // doGroup sends one batch shard along its failover sequence and
-// decodes the reply. It never writes to the client.
+// decodes the reply. It never writes to the client. A 200 reply that
+// cannot be read or decoded moves on to the next replica.
 func (rt *Router) doGroup(r *http.Request, ranked []*replica, subBody []byte, slots int) (res shardResult) {
-	res.errText = "cluster: no replica available for this shard"
-	for i, rep := range ranked {
-		resp, err := rt.do(r.Context(), rep, r, subBody)
-		if failover(resp, err) {
-			rep.fail()
-			if resp != nil {
-				if ra := resp.Header.Get("Retry-After"); ra != "" {
-					res.retryAfter = ra
-				}
-				discard(resp)
-			}
-			if i+1 < len(ranked) {
-				rt.failovers.Add(1)
-			}
-			if err != nil {
-				res.errText = "cluster: shard failed: " + err.Error()
-			} else {
-				res.errText = "cluster: shard failed: replicas unavailable"
-			}
-			continue
-		}
-		rep.br.Success()
-		rep.served.Add(1)
-		payload, rerr := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-		resp.Body.Close()
-		if rerr != nil {
+	retryAfter, err := rt.attempt(r, ranked, subBody, false, func(rep *replica, resp *http.Response, _ time.Duration) error {
+		payload, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+		if err != nil {
 			rep.failed.Add(1)
-			res.errText = "cluster: reading shard reply: " + rerr.Error()
-			continue
+			return fmt.Errorf("reading shard reply: %w", err)
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
 			var slotResps []service.CompileResponse
 			if jerr := json.Unmarshal(payload, &slotResps); jerr != nil || len(slotResps) != slots {
-				res.errText = "cluster: malformed shard reply"
-				continue
+				return errors.New("malformed shard reply")
 			}
 			res.status = http.StatusOK
 			res.slots = slotResps
-			return res
 		case http.StatusTooManyRequests:
 			res.status = http.StatusTooManyRequests
 			res.retryAfter = resp.Header.Get("Retry-After")
-			return res
 		default:
 			// A non-retryable whole-shard error (400 on a malformed
 			// sub-request we built — should not happen): surface it
 			// per-slot rather than guessing.
 			res.errText = "cluster: shard rejected with status " + strconv.Itoa(resp.StatusCode) + ": " + string(payload)
-			return res
 		}
+		return nil
+	})
+	if err != nil {
+		res.retryAfter = retryAfter
+		res.errText = "cluster: shard failed: " + err.Error()
 	}
 	return res
 }
@@ -221,7 +176,8 @@ func (rt *Router) doGroup(r *http.Request, ranked []*replica, subBody []byte, sl
 // handleDecodeStream relays POST /decode, the full-duplex NDJSON
 // syndrome stream. The request body cannot be buffered or replayed, so
 // the stream gets exactly one replica — chosen round-robin over the
-// allowed set — and no failover once bytes are moving.
+// allowed set — and no failover once bytes are moving. Every reply the
+// replica sends, 5xx included, is relayed.
 func (rt *Router) handleDecodeStream(w http.ResponseWriter, r *http.Request) {
 	names := rt.ring.Names()
 	start := int(rt.rr.Add(1) % uint64(len(names)))
@@ -234,38 +190,24 @@ func (rt *Router) handleDecodeStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if rep == nil {
-		rt.refuse(w)
+		rt.refuse(w, "")
 		return
 	}
-	u := rep.base.JoinPath(r.URL.Path)
-	u.RawQuery = r.URL.RawQuery
 	// The transport reads the body from its own goroutine; settling it
 	// here too serializes with that read (the body locks each read) and
 	// leaves nothing for the server to read after the handler returns.
 	defer service.FinishBody(w, r.Body)
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), r.Body)
-	if err != nil {
-		http.Error(w, "cluster: building upstream request: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	copyHeaders(req.Header, r.Header)
-	if host, _, splitErr := net.SplitHostPort(r.RemoteAddr); splitErr == nil {
-		req.Header.Set(service.ForwardedForHeader, host)
-	} else if r.RemoteAddr != "" {
-		req.Header.Set(service.ForwardedForHeader, r.RemoteAddr)
-	}
 	// Full duplex: the client keeps sending syndrome rounds while the
 	// replica's corrections flow back through us.
 	rc := http.NewResponseController(w)
 	rc.EnableFullDuplex() //nolint:errcheck // unsupported writers just degrade to half-duplex
-	resp, err := rt.client.Do(req)
+	resp, err := rt.send(r.Context(), rep, r, r.Body)
 	if err != nil {
 		rep.fail()
-		rt.refused.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "cluster: decode replica unavailable", http.StatusServiceUnavailable)
+		rt.refuse(w, "")
 		return
 	}
+	defer resp.Body.Close()
 	rep.br.Success()
 	rep.served.Add(1)
 	rt.forwarded.Add(1)
@@ -325,9 +267,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	h.Status = "ok"
-	if routable == 0 {
-		h.Status = "degraded"
-	} else if routable < len(rt.replicas) {
+	if routable < len(rt.replicas) {
 		h.Status = "degraded"
 	}
 	if p50, n := rt.lat.Percentile(0.50); n > 0 {

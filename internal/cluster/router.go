@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -38,29 +40,20 @@ type ReplicaConfig struct {
 type Config struct {
 	Replicas []ReplicaConfig
 
-	// MaxAttempts bounds failover: how many distinct replicas one
-	// request may be sent to. Zero selects min(3, len(Replicas)).
-	MaxAttempts int
-
 	// FailThreshold / Cooldown tune the per-replica breakers (zero
 	// selects the package defaults).
 	FailThreshold int
 	Cooldown      time.Duration
 
-	// ProbeInterval / ProbeTimeout tune the active health prober
-	// started by Start. Zero selects 1s for both.
+	// ProbeInterval is the period of the active health prober started
+	// by Start. Zero selects 1s.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 
 	// HedgePercentile, when in (0,1), arms request hedging: once a
 	// request outlives that percentile of recent latencies, a second
 	// copy is raced against the next replica on the ring and the first
 	// usable answer wins. Zero disables hedging.
 	HedgePercentile float64
-	// HedgeMinSamples is how many latency samples must exist before
-	// hedging arms (zero selects 32) — hedging off a cold sampler
-	// would fire on noise.
-	HedgeMinSamples int
 
 	// Transport overrides the upstream round-tripper (tests).
 	Transport http.RoundTripper
@@ -69,6 +62,17 @@ type Config struct {
 	// nil discards them.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// maxAttempts bounds failover: how many distinct replicas one
+	// request may be sent to (fewer when the fleet is smaller).
+	maxAttempts = 3
+	// probeTimeout bounds one health probe.
+	probeTimeout = time.Second
+	// hedgeMinSamples is how many latency samples must exist before
+	// hedging arms: hedging off a cold sampler would fire on noise.
+	hedgeMinSamples = 32
+)
 
 // replica is one upstream plus its health state.
 type replica struct {
@@ -205,10 +209,6 @@ func (rt *Router) probeLoop(interval time.Duration) {
 }
 
 func (rt *Router) probeAll() {
-	timeout := rt.cfg.ProbeTimeout
-	if timeout <= 0 {
-		timeout = time.Second
-	}
 	var wg sync.WaitGroup
 	for _, rep := range rt.replicas {
 		// An Open breaker inside its cooldown is left alone: probing it
@@ -220,7 +220,7 @@ func (rt *Router) probeAll() {
 		wg.Add(1)
 		go func(rep *replica) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base.JoinPath("/readyz").String(), nil)
 			if err != nil {
@@ -298,10 +298,6 @@ func (rt *Router) rankedAllowed(key string) []*replica {
 	} else {
 		names = rt.ring.Names()
 	}
-	maxAttempts := rt.cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
 	out := make([]*replica, 0, maxAttempts)
 	for _, n := range names {
 		rep := rt.replicas[n]
@@ -316,41 +312,49 @@ func (rt *Router) rankedAllowed(key string) []*replica {
 	return out
 }
 
-// refuse answers the honest all-owners-open 503: every routable replica
-// is broken, so tell the client when the earliest breaker will re-admit
-// a trial rather than hanging or lying with a 200.
-func (rt *Router) refuse(w http.ResponseWriter) {
+// refuse answers 503 once no replica can serve a request. A replica's
+// own Retry-After (a draining replica says when to come back) passes
+// through; otherwise the earliest breaker reopening tells the client
+// when a trial will next be admitted, rather than hanging or lying with
+// a 200.
+func (rt *Router) refuse(w http.ResponseWriter, retryAfter string) {
 	rt.refused.Add(1)
-	const maxDur = time.Duration(1<<63 - 1)
-	retry := maxDur
-	for _, rep := range rt.replicas {
-		if ra := rep.br.RetryAfter(); ra < retry {
-			retry = ra
+	if retryAfter == "" {
+		earliest := time.Duration(math.MaxInt64)
+		for _, rep := range rt.replicas {
+			earliest = min(earliest, rep.br.RetryAfter())
 		}
+		retryAfter = strconv.Itoa(int(earliest/time.Second) + 1)
 	}
-	secs := 1
-	if retry > 0 && retry < maxDur {
-		secs = int(retry/time.Second) + 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", retryAfter)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	json.NewEncoder(w).Encode(map[string]string{ //nolint:errcheck
-		"error": "cluster: no replica available; all circuit breakers open",
+		"error": "cluster: no replica available; every breaker is open or every attempt failed",
 	})
+}
+
+// readBody buffers a request body up to maxProxyBody, answering 400 or
+// 413 itself when it cannot.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
+	if err != nil {
+		http.Error(w, "cluster: reading request body: "+err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	if len(body) > maxProxyBody {
+		http.Error(w, "cluster: request body too large", http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	return body, true
 }
 
 // handleKeyed serves /compile and /estimate: buffer the body, derive
 // the routing key from the request content, and forward along the
 // key's failover sequence.
 func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
-	if err != nil {
-		http.Error(w, "cluster: reading request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxProxyBody {
-		http.Error(w, "cluster: request body too large", http.StatusRequestEntityTooLarge)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	key := ""
@@ -361,23 +365,32 @@ func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
 		// answers with its usual 400.
 		key, _ = service.RoutingKey(req) //nolint:errcheck
 	}
-	ranked := rt.rankedAllowed(key)
-	if len(ranked) == 0 {
-		rt.refuse(w)
-		return
-	}
-	rt.forward(w, r, ranked, body)
+	rt.forward(w, r, key, body)
 }
 
 // handleUnkeyed serves body-less GETs (/models): any replica can
 // answer, so walk ring order with failover.
 func (rt *Router) handleUnkeyed(w http.ResponseWriter, r *http.Request) {
-	ranked := rt.rankedAllowed("")
-	if len(ranked) == 0 {
-		rt.refuse(w)
-		return
+	rt.forward(w, r, "", nil)
+}
+
+// forward proxies one buffered (or body-less) request along its key's
+// failover sequence and relays the first usable response. NDJSON
+// responses are flushed chunk-by-chunk so streaming compiles pass
+// through unbuffered; a stream is never hedged, because two live feeds
+// cannot race for one client connection.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
+	stream := strings.Contains(r.Header.Get("Accept"), service.NDJSONContentType)
+	retryAfter, err := rt.attempt(r, rt.rankedAllowed(key), body, !stream,
+		func(rep *replica, resp *http.Response, took time.Duration) error {
+			rt.forwarded.Add(1)
+			rt.lat.Observe(took)
+			rt.relay(w, resp, rep)
+			return nil
+		})
+	if err != nil {
+		rt.refuse(w, retryAfter)
 	}
-	rt.forward(w, r, ranked, nil)
 }
 
 // failover reports whether one upstream result is a replica-level
@@ -389,27 +402,158 @@ func failover(resp *http.Response, err error) bool {
 	return err != nil || resp.StatusCode >= 500
 }
 
-// do sends one copy of the request to one replica. A nil body means a
-// body-less method (GET).
-func (rt *Router) do(ctx context.Context, rep *replica, r *http.Request, body []byte) (*http.Response, error) {
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
+// errNoReplica is attempt's error when no replica was tried at all.
+var errNoReplica = errors.New("no replica available")
+
+// attempt is the router's one failover loop. It sends a buffered (or,
+// with an empty body, body-less) request along ranked until a replica
+// answers without failing over, and hands that reply to use while the
+// attempt's context is still live; attempt closes the body afterwards.
+// An error from use rejects the reply (a batch shard it could not read)
+// and moves on to the next replica.
+//
+// With hedge set and the latency sampler armed, a first attempt that
+// outlives the hedge delay is raced against the next replica: the first
+// usable reply wins, and only the losing attempt is cancelled. A first
+// attempt that fails before the delay is followed by ordinary failover.
+//
+// On failure attempt returns the last error and the last Retry-After a
+// failing replica sent (empty when none did).
+func (rt *Router) attempt(r *http.Request, ranked []*replica, body []byte, hedge bool,
+	use func(rep *replica, resp *http.Response, took time.Duration) error) (retryAfter string, err error) {
+	type result struct {
+		i    int
+		resp *http.Response
+		err  error
 	}
+	var (
+		race     chan result          // where a hedged pair reports; nil when unhedged
+		fire     <-chan time.Time     // the hedge timer, nil once spent
+		launch   func()               // starts ranked[next] on its own goroutine
+		cancels  []context.CancelFunc // per launched attempt, in ranked order
+		next     int
+		inflight int
+		start    = time.Now()
+	)
+	if hedge && len(ranked) > 1 {
+		if delay, ok := rt.hedgeDelay(); ok {
+			race = make(chan result)
+			done := make(chan struct{})
+			timer := time.NewTimer(delay)
+			defer func() {
+				timer.Stop()
+				close(done) // unreceived attempts discard their own replies
+				for _, cancel := range cancels {
+					cancel()
+				}
+			}()
+			fire = timer.C
+			launch = func() {
+				i := next
+				next++
+				inflight++
+				ctx, cancel := context.WithCancel(r.Context())
+				cancels = append(cancels, cancel)
+				go func() {
+					resp, err := rt.send(ctx, ranked[i], r, bytes.NewReader(body))
+					select {
+					case race <- result{i, resp, err}:
+					case <-done:
+						discard(resp)
+					}
+				}()
+			}
+			launch()
+		}
+	}
+	err = errNoReplica
+	for {
+		var res result
+		switch {
+		case inflight > 0:
+			select {
+			case <-fire:
+				fire = nil
+				rt.hedges.Add(1)
+				launch()
+				continue
+			case res = <-race:
+				inflight--
+			}
+		case next == len(ranked):
+			return retryAfter, err
+		default:
+			res.i = next
+			next++
+			start = time.Now()
+			res.resp, res.err = rt.send(r.Context(), ranked[res.i], r, bytes.NewReader(body))
+		}
+		rep := ranked[res.i]
+		if failover(res.resp, res.err) {
+			rep.fail()
+			err = res.err
+			if res.resp != nil {
+				err = fmt.Errorf("%s answered %s", rep.name, res.resp.Status)
+				if ra := res.resp.Header.Get("Retry-After"); ra != "" {
+					retryAfter = ra
+				}
+				discard(res.resp)
+			}
+		} else {
+			rep.br.Success()
+			rep.served.Add(1)
+			if inflight > 0 {
+				// The race is decided: cancel the loser now.
+				cancels[1-res.i]()
+				inflight = 0
+			}
+			err = use(rep, res.resp, time.Since(start))
+			res.resp.Body.Close()
+			if err == nil {
+				return retryAfter, nil
+			}
+		}
+		if inflight == 0 {
+			fire = nil // only the first attempt is hedged
+			if next < len(ranked) {
+				rt.failovers.Add(1)
+				rt.logf("cluster: failing over %s %s (%v)", r.Method, r.URL.Path, err)
+			}
+		}
+	}
+}
+
+// hedgeDelay reports the armed hedge trigger, if any.
+func (rt *Router) hedgeDelay() (time.Duration, bool) {
+	p := rt.cfg.HedgePercentile
+	if p <= 0 || p >= 1 {
+		return 0, false
+	}
+	d, n := rt.lat.Percentile(p)
+	if n < hedgeMinSamples || d <= 0 {
+		return 0, false
+	}
+	return d, true
+}
+
+// send builds the upstream copy of r for one replica and sends it. The
+// router is the trust boundary: X-Forwarded-For is overwritten, never
+// appended, so a client-supplied value can't spoof another's rate
+// bucket on replicas running -trust-forwarded.
+func (rt *Router) send(ctx context.Context, rep *replica, r *http.Request, body io.Reader) (*http.Response, error) {
 	u := rep.base.JoinPath(r.URL.Path)
 	u.RawQuery = r.URL.RawQuery
-	req, err := http.NewRequestWithContext(ctx, r.Method, u.String(), rdr)
+	req, err := http.NewRequestWithContext(ctx, r.Method, u.String(), body)
 	if err != nil {
 		return nil, err
 	}
 	copyHeaders(req.Header, r.Header)
-	// The router is the trust boundary: overwrite, never append, so a
-	// client-supplied X-Forwarded-For can't spoof another's rate
-	// bucket on replicas running -trust-forwarded.
-	if host, _, splitErr := net.SplitHostPort(r.RemoteAddr); splitErr == nil {
-		req.Header.Set(service.ForwardedForHeader, host)
-	} else if r.RemoteAddr != "" {
-		req.Header.Set(service.ForwardedForHeader, r.RemoteAddr)
+	client, _, splitErr := net.SplitHostPort(r.RemoteAddr)
+	if splitErr != nil {
+		client = r.RemoteAddr
+	}
+	if client != "" {
+		req.Header.Set(service.ForwardedForHeader, client)
 	}
 	return rt.client.Do(req)
 }
@@ -430,188 +574,6 @@ func (rep *replica) fail() {
 	rep.failed.Add(1)
 }
 
-// forward proxies one buffered (or body-less) request along its ranked
-// failover sequence, optionally hedging the first attempt, and relays
-// the first usable response. NDJSON responses are flushed chunk-by-
-// chunk so streaming compiles pass through unbuffered.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ranked []*replica, body []byte) {
-	stream := strings.Contains(r.Header.Get("Accept"), service.NDJSONContentType)
-	var sawRetryAfter string
-	i := 0
-	for i < len(ranked) {
-		rep := ranked[i]
-		start := time.Now()
-
-		// Hedge only the first attempt of non-streaming requests: a
-		// hedged stream would race two live NDJSON feeds for one
-		// client connection.
-		if i == 0 && !stream && len(ranked) > 1 {
-			if delay, ok := rt.hedgeDelay(); ok {
-				resp, winner, consumed, err := rt.hedgedDo(r, ranked[0], ranked[1], body, delay)
-				if err == nil {
-					// hedgedDo guarantees a relayable response on nil
-					// error; failures were already charged inside.
-					winner.br.Success()
-					winner.served.Add(1)
-					rt.forwarded.Add(1)
-					rt.lat.Observe(time.Since(start))
-					rt.relay(w, resp, winner)
-					return
-				}
-				i += consumed
-				if i < len(ranked) {
-					rt.failovers.Add(1)
-					rt.logf("cluster: failing over %s %s after hedged attempts (%v)", r.Method, r.URL.Path, err)
-				}
-				continue
-			}
-		}
-
-		resp, err := rt.do(r.Context(), rep, r, body)
-		if failover(resp, err) {
-			rep.fail()
-			if resp != nil {
-				if ra := resp.Header.Get("Retry-After"); ra != "" {
-					sawRetryAfter = ra
-				}
-				discard(resp)
-			}
-			i++
-			if i < len(ranked) {
-				rt.failovers.Add(1)
-				rt.logf("cluster: failing over %s %s from %s (err=%v)", r.Method, r.URL.Path, rep.name, err)
-			}
-			continue
-		}
-		rep.br.Success()
-		rep.served.Add(1)
-		rt.forwarded.Add(1)
-		rt.lat.Observe(time.Since(start))
-		rt.relay(w, resp, rep)
-		return
-	}
-	// Every allowed replica failed. If one of them told us when to come
-	// back (a draining replica's 503 Retry-After), pass that through;
-	// otherwise fall back to the breaker view.
-	if sawRetryAfter != "" {
-		rt.refused.Add(1)
-		w.Header().Set("Retry-After", sawRetryAfter)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]string{ //nolint:errcheck
-			"error": "cluster: all failover attempts exhausted",
-		})
-		return
-	}
-	rt.refuse(w)
-}
-
-// hedgeDelay reports the armed hedge trigger, if any.
-func (rt *Router) hedgeDelay() (time.Duration, bool) {
-	p := rt.cfg.HedgePercentile
-	if p <= 0 || p >= 1 {
-		return 0, false
-	}
-	minSamples := rt.cfg.HedgeMinSamples
-	if minSamples <= 0 {
-		minSamples = 32
-	}
-	d, n := rt.lat.Percentile(p)
-	if n < minSamples || d <= 0 {
-		return 0, false
-	}
-	return d, true
-}
-
-// hedgedDo races the primary replica against one hedge partner: the
-// hedge fires only if the primary outlives delay, and the first usable
-// response wins.
-//
-// Contract: on nil error the response is relayable and the caller owns
-// its Success accounting; on non-nil error every consumed candidate's
-// breaker has already been charged and `consumed` (1 or 2) tells the
-// caller how far to advance its failover cursor. The losing in-flight
-// attempt is cancelled and drained in the background.
-func (rt *Router) hedgedDo(r *http.Request, primary, partner *replica, body []byte, delay time.Duration) (*http.Response, *replica, int, error) {
-	type result struct {
-		resp *http.Response
-		err  error
-		rep  *replica
-	}
-	base := r.Context()
-	ctx1, cancel1 := context.WithCancel(base)
-	cancels := []context.CancelFunc{cancel1}
-	cancelAll := func() {
-		for _, c := range cancels {
-			c()
-		}
-	}
-	ch := make(chan result, 2)
-	launch := func(ctx context.Context, rep *replica) {
-		resp, err := rt.do(ctx, rep, r, body)
-		ch <- result{resp, err, rep}
-	}
-	go launch(ctx1, primary)
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	fired := false
-	pending := 1
-	for {
-		select {
-		case <-timer.C:
-			if !fired {
-				fired = true
-				pending++
-				rt.hedges.Add(1)
-				ctx2, cancel2 := context.WithCancel(base)
-				cancels = append(cancels, cancel2)
-				go launch(ctx2, partner)
-			}
-		case res := <-ch:
-			pending--
-			if !failover(res.resp, res.err) {
-				// Winner. Reap the loser in the background.
-				if n := pending; n > 0 {
-					go func() {
-						for j := 0; j < n; j++ {
-							discard((<-ch).resp)
-						}
-						cancelAll()
-					}()
-					if res.rep == primary && len(cancels) > 1 {
-						cancels[1]()
-					} else if res.rep != primary {
-						cancel1()
-					}
-				} else {
-					cancelAll()
-				}
-				consumed := 1
-				if fired {
-					consumed = 2
-				}
-				return res.resp, res.rep, consumed, nil
-			}
-			// A failed candidate: charge it now, keep waiting if the
-			// other attempt is still in flight.
-			res.rep.fail()
-			discard(res.resp)
-			if pending > 0 {
-				continue
-			}
-			cancelAll()
-			if fired {
-				return nil, nil, 2, fmt.Errorf("cluster: hedged attempts to %s and %s both failed", primary.name, partner.name)
-			}
-			// Primary failed before the hedge armed: don't burn the
-			// partner here — the ordinary failover loop tries it next
-			// with full accounting.
-			return nil, nil, 1, fmt.Errorf("cluster: primary %s failed before hedge fired", primary.name)
-		}
-	}
-}
-
 // copyHeaders copies end-to-end headers, dropping hop-by-hop ones.
 func copyHeaders(dst, src http.Header) {
 	for k, vv := range src {
@@ -627,9 +589,8 @@ func copyHeaders(dst, src http.Header) {
 }
 
 // relay copies one upstream response to the client, flushing per chunk
-// when the payload is a stream.
+// when the payload is a stream. The caller closes the body.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, rep *replica) {
-	defer resp.Body.Close()
 	copyHeaders(w.Header(), resp.Header)
 	w.Header().Set(ReplicaHeader, rep.name)
 	w.WriteHeader(resp.StatusCode)

@@ -575,7 +575,6 @@ func TestRouterHedging(t *testing.T) {
 	_, srv := newRouter(t, cluster.Config{
 		Replicas:        cfgs,
 		HedgePercentile: 0.5,
-		HedgeMinSamples: 4,
 	})
 
 	// Find one circuit per owner so we can warm the sampler on fast
@@ -606,12 +605,13 @@ func TestRouterHedging(t *testing.T) {
 		}
 	}
 
-	// Warm the latency sampler with fast requests on other owners.
+	// Warm the latency sampler past the 32 samples hedging needs with
+	// fast requests on other owners.
 	for o, body := range byOwner {
 		if o == slowOwner {
 			continue
 		}
-		for i := 0; i < 6; i++ {
+		for i := 0; i < 32; i++ {
 			resp := postCompile(t, srv.URL, body)
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck
 			resp.Body.Close()
@@ -634,5 +634,229 @@ func TestRouterHedging(t *testing.T) {
 	}
 	if h := routerHealth(t, srv.URL); h.Hedges == 0 {
 		t.Fatal("healthz reports zero hedges")
+	}
+}
+
+// warmSampler sends n concurrent /compile requests through the router
+// so its latency sampler holds n samples of each replica's current
+// handler latency. No request starts with n samples already recorded,
+// so none of them is hedged.
+func warmSampler(t *testing.T, url string, n int, body []byte) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(url+"/compile", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+		}()
+	}
+	wg.Wait()
+}
+
+// sleepThenOK answers 200 after a fixed delay.
+func sleepThenOK(d time.Duration) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(d)
+		ok200(w, r)
+	}
+}
+
+// TestRouterHedgedReplyRelayedWhole: with hedging armed, a reply that
+// wins the race is relayed to the client in full. The winning attempt's
+// context must outlive the relay; cancelling it early cuts the body
+// short while the status line still says 200.
+func TestRouterHedgedReplyRelayedWhole(t *testing.T) {
+	fleet, cfgs := newFakeFleet(t, "r0", "r1")
+	_, srv := newRouter(t, cluster.Config{Replicas: cfgs, HedgePercentile: 0.5})
+	for _, f := range fleet {
+		f.setHandler(sleepThenOK(50 * time.Millisecond))
+	}
+	warmSampler(t, srv.URL, 32, compileBody(t, qasmVariant(t, 6)))
+
+	const chunk, chunks = 64 << 10, 32
+	payload := bytes.Repeat([]byte("x"), chunk)
+	for _, f := range fleet {
+		f.setHandler(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			// Pace the chunks so the reply is still streaming when
+			// the router starts relaying it.
+			for i := 0; i < chunks; i++ {
+				w.Write(payload) //nolint:errcheck
+				w.(http.Flusher).Flush()
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+	resp, err := http.Get(srv.URL + "/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if err != nil || n != chunk*chunks {
+		t.Fatalf("relayed %d of %d bytes (err %v)", n, chunk*chunks, err)
+	}
+}
+
+// TestRouterHedgedPrimaryFailsFast: when the primary of an armed hedge
+// fails before the hedge delay, no hedge fires — the partner is tried
+// by ordinary failover, and the primary's breaker is charged once.
+func TestRouterHedgedPrimaryFailsFast(t *testing.T) {
+	names := []string{"r0", "r1"}
+	fleet, cfgs := newFakeFleet(t, names...)
+	_, srv := newRouter(t, cluster.Config{Replicas: cfgs, HedgePercentile: 0.5, FailThreshold: 2})
+	for _, f := range fleet {
+		f.setHandler(sleepThenOK(50 * time.Millisecond))
+	}
+	warmSampler(t, srv.URL, 32, compileBody(t, qasmVariant(t, 6)))
+
+	qasm := qasmVariant(t, 9)
+	owner := ownerOf(t, names, qasm)
+	for _, f := range fleet {
+		if f.name == owner {
+			f.setHandler(func(w http.ResponseWriter, r *http.Request) {
+				http.Error(w, "down", http.StatusServiceUnavailable)
+			})
+		} else {
+			f.setHandler(ok200)
+		}
+	}
+	resp := postCompile(t, srv.URL, compileBody(t, qasm))
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want failover 200", resp.StatusCode)
+	}
+	if got := resp.Header.Get(cluster.ReplicaHeader); got == owner {
+		t.Fatalf("served by the failing primary %q", got)
+	}
+	h := routerHealth(t, srv.URL)
+	if h.Hedges != 0 || h.Failovers != 1 {
+		t.Fatalf("hedges=%d failovers=%d, want 0 and 1", h.Hedges, h.Failovers)
+	}
+	for _, rh := range h.Replicas {
+		if rh.Name == owner && (rh.Failed != 1 || rh.Breaker != "closed") {
+			t.Fatalf("primary %+v, want one failure and a closed breaker", rh)
+		}
+	}
+}
+
+// TestRouterBatchShardFailover: a shard whose owner answers 503 is
+// answered by the next replica, and every slot keeps its place.
+func TestRouterBatchShardFailover(t *testing.T) {
+	names := []string{"r0", "r1"}
+	fleet, cfgs := newFakeFleet(t, names...)
+	_, srv := newRouter(t, cluster.Config{Replicas: cfgs})
+	ring := cluster.NewRing(names)
+
+	var reqs []service.Request
+	var owners []string
+	for i := 0; i < 8; i++ {
+		req := service.Request{QASM: qasmVariant(t, 4+i), Distance: 2*i + 3}
+		key, err := service.RoutingKey(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+		owners = append(owners, ring.Owner(key))
+	}
+	dead := owners[0]
+	survivor := names[0]
+	if survivor == dead {
+		survivor = names[1]
+	}
+	if !strings.Contains(strings.Join(owners, " "), survivor) {
+		t.Fatalf("every slot owned by %s; need a two-shard batch", dead)
+	}
+	for _, f := range fleet {
+		if f.name == dead {
+			f.setHandler(func(w http.ResponseWriter, r *http.Request) {
+				http.Error(w, "down", http.StatusServiceUnavailable)
+			})
+			continue
+		}
+		name := f.name
+		f.setHandler(func(w http.ResponseWriter, r *http.Request) {
+			var sub []service.Request
+			if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			out := make([]service.CompileResponse, len(sub))
+			for i, s := range sub {
+				out[i] = service.CompileResponse{Digest: fmt.Sprintf("%s/%d", name, s.Distance)}
+			}
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(out) //nolint:errcheck
+		})
+	}
+	body, _ := json.Marshal(reqs)
+	resp, err := http.Post(srv.URL+"/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slots []service.CompileResponse
+	if err := json.NewDecoder(resp.Body).Decode(&slots); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(slots) != len(reqs) {
+		t.Fatalf("status %d, %d slots for %d requests", resp.StatusCode, len(slots), len(reqs))
+	}
+	for i, slot := range slots {
+		if want := fmt.Sprintf("%s/%d", survivor, reqs[i].Distance); slot.Digest != want || slot.Error != "" {
+			t.Errorf("slot %d = %+v, want digest %q", i, slot, want)
+		}
+	}
+	if h := routerHealth(t, srv.URL); h.Failovers < 1 {
+		t.Fatalf("failovers = %d, want >= 1", h.Failovers)
+	}
+}
+
+// TestRouterExhaustedPassesRetryAfter: when every replica answers 503
+// with a Retry-After, the router's own 503 carries that Retry-After,
+// for single requests and for batches alike.
+func TestRouterExhaustedPassesRetryAfter(t *testing.T) {
+	fleet, cfgs := newFakeFleet(t, "r0", "r1", "r2")
+	_, srv := newRouter(t, cluster.Config{Replicas: cfgs, FailThreshold: 10})
+	for _, f := range fleet {
+		f.setHandler(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Retry-After", "7")
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+		})
+	}
+	var batch []service.Request
+	for m := 4; m <= 9; m++ {
+		batch = append(batch, service.Request{QASM: qasmVariant(t, m)})
+	}
+	batchBody, _ := json.Marshal(batch)
+	for path, body := range map[string][]byte{
+		"/compile": compileBody(t, qasmVariant(t, 8)),
+		"/batch":   batchBody,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503", path, resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "7" {
+			t.Fatalf("%s: Retry-After %q, want 7", path, ra)
+		}
 	}
 }

@@ -22,7 +22,11 @@ var errBodyTooLarge = errors.New("service: request body exceeds the size cap")
 
 // PlanSummary is the JSON view of a compiled plan: the schedule and
 // footprint metrics without the backend-specific artifacts (schedules
-// and move lists stay server-side in the cache).
+// and move lists stay server-side in the cache). It is also the on-disk
+// plan encoding, so field order is load-bearing: encoding/json emits
+// struct fields in declaration order, which (with Go's shortest-float
+// formatting) makes the encoding deterministic — a recompiled plan
+// persists byte-identically, the property the crash-recovery tests pin.
 type PlanSummary struct {
 	Backend        string  `json:"backend"`
 	Circuit        string  `json:"circuit"`

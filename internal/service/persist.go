@@ -10,45 +10,18 @@ import (
 	"surfcomm/internal/store"
 )
 
-// storedPlan is the portable on-disk projection of a Plan: the schedule
-// and footprint metrics the serving API returns. Backend-specific
-// artifacts (recorded braid schedules, SIMD move lists, EPR traces) are
+// encodePlan persists a plan as its PlanSummary: the schedule and
+// footprint metrics the serving API returns. Backend-specific artifacts
+// (recorded braid schedules, SIMD move lists, EPR traces) are
 // deliberately not persisted — they are replay/debug payloads, not
 // serving state — so requests compiled with record_schedule bypass the
 // disk layer entirely rather than resurface artifact-less.
-//
-// Field order is load-bearing: encoding/json emits struct fields in
-// declaration order, which (with Go's shortest-float formatting) makes
-// the encoding deterministic — a recompiled plan persists
-// byte-identically, the property the crash-recovery tests pin.
-type storedPlan struct {
-	Backend        string  `json:"backend"`
-	Circuit        string  `json:"circuit"`
-	Distance       int     `json:"distance"`
-	Seed           int64   `json:"seed"`
-	Device         string  `json:"device"`
-	Cycles         int64   `json:"cycles"`
-	Seconds        float64 `json:"seconds"`
-	PhysicalQubits float64 `json:"physical_qubits"`
-	CommOps        int64   `json:"comm_ops"`
-}
-
 func encodePlan(p surfcomm.Plan) ([]byte, error) {
-	return json.Marshal(storedPlan{
-		Backend:        p.Backend,
-		Circuit:        p.Circuit,
-		Distance:       p.Distance,
-		Seed:           p.Seed,
-		Device:         p.Device,
-		Cycles:         p.Cycles,
-		Seconds:        p.Seconds,
-		PhysicalQubits: p.PhysicalQubits,
-		CommOps:        p.CommOps,
-	})
+	return json.Marshal(Summarize(p))
 }
 
 func decodePlan(data []byte) (surfcomm.Plan, error) {
-	var sp storedPlan
+	var sp PlanSummary
 	if err := json.Unmarshal(data, &sp); err != nil {
 		return surfcomm.Plan{}, fmt.Errorf("service: stored plan: %w", err)
 	}

@@ -116,19 +116,27 @@ type ModularResult struct {
 	StitchCycles     int64 `json:"stitch_cycles"`
 }
 
-// targetFingerprint folds every plan-affecting knob of a resolved
-// target (everything the serving layer's digest covers except the
-// circuit text) so module digests separate by backend and target.
-func targetFingerprint(backend string, t Target) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "backend=%s\n", backend)
-	fmt.Fprintf(h, "d=%d policy=%d seed=%d window=%d bw=%d local=%t record=%t\n",
+// WriteTargetFingerprint writes the plan-affecting knobs of a resolved
+// target (backend, schedule, technology, SIMD and device lines) to w.
+// The serving layer's plan digests and the module digests both hash
+// exactly these bytes, so persisted plans and module caches stay
+// addressable only while the text is unchanged.
+func WriteTargetFingerprint(w io.Writer, backend string, t Target) {
+	fmt.Fprintf(w, "backend=%s\n", backend)
+	fmt.Fprintf(w, "d=%d policy=%d seed=%d window=%d bw=%d local=%t record=%t\n",
 		t.Distance, int(t.Policy), t.Seed, t.Window, t.LinkBandwidth, t.LocalTOps, t.RecordSchedule)
-	fmt.Fprintf(h, "tech=%g/%g/%g/%g/%g/%g\n",
+	fmt.Fprintf(w, "tech=%g/%g/%g/%g/%g/%g\n",
 		t.Technology.PhysicalErrorRate, t.Technology.Threshold, t.Technology.Prefactor,
 		t.Technology.Gate1Q, t.Technology.Gate2Q, t.Technology.Meas)
-	fmt.Fprintf(h, "simd=%d/%d/%d/%t\n", t.SIMD.Regions, t.SIMD.Width, t.SIMD.Seed, t.SIMD.NaiveBanks)
-	fmt.Fprintf(h, "device=%s\n", t.Device.String())
+	fmt.Fprintf(w, "simd=%d/%d/%d/%t\n", t.SIMD.Regions, t.SIMD.Width, t.SIMD.Seed, t.SIMD.NaiveBanks)
+	fmt.Fprintf(w, "device=%s\n", t.Device.String())
+}
+
+// targetFingerprint hashes WriteTargetFingerprint so module digests
+// separate by backend and target.
+func targetFingerprint(backend string, t Target) string {
+	h := sha256.New()
+	WriteTargetFingerprint(h, backend, t)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
