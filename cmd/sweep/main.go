@@ -32,11 +32,15 @@
 // and gather results in cell order before printing, so every report
 // and record is byte-identical at any worker count — `-workers 1` is
 // the serial reference. `-progress` streams per-cell completions to
-// stderr, and an interrupt (Ctrl-C) cancels the run mid-grid.
+// stderr, and an interrupt (Ctrl-C) cancels the run mid-grid. Bad knobs
+// — -d below 1, a -defect-frac outside [0,1), an -app outside the
+// Figure 6 suite — fail with ErrBadConfig instead of running a
+// different study.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +51,11 @@ import (
 	"strings"
 
 	"surfcomm"
+	"surfcomm/internal/apps"
+	"surfcomm/internal/braid"
 	"surfcomm/internal/decoder"
+	"surfcomm/internal/device"
+	"surfcomm/internal/scerr"
 	"surfcomm/internal/sweep"
 )
 
@@ -138,6 +146,89 @@ func (e *env) appModels(ctx context.Context) ([]surfcomm.AppModel, error) {
 	return e.models, nil
 }
 
+// perfect is an ideal-grid record: it ran on the "perfect" device under
+// the run's seed.
+func (e *env) perfect(study, cell string, metrics map[string]float64) sweep.CellResult {
+	return sweep.CellResult{Study: study, Cell: cell, Seed: e.seed, Metrics: metrics, Device: device.PresetPerfect}
+}
+
+// runCells evaluates a study's cells on the worker pool; each cell
+// returns its records and its report text. The study's report and
+// records are then written in cell order, which keeps both
+// byte-identical at any worker count.
+func runCells[I any](ctx context.Context, e *env, stage string, items []I, fn func(i int, item I) ([]sweep.CellResult, string, error)) ([]sweep.CellResult, error) {
+	type output struct {
+		records []sweep.CellResult
+		text    string
+	}
+	outs, err := sweep.Map(ctx, e.grid(stage), items, func(i int, item I) (output, error) {
+		records, text, err := fn(i, item)
+		return output{records, text}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var records []sweep.CellResult
+	for _, o := range outs {
+		io.WriteString(e.out, o.text)
+		records = append(records, o.records...)
+	}
+	return records, nil
+}
+
+// workload resolves an application name case-insensitively over the
+// Figure 6 suite; an unknown name fails with ErrBadConfig listing the
+// valid ones.
+func workload(name string) (apps.Workload, error) {
+	var names []string
+	for _, w := range apps.Fig6Suite() {
+		if strings.EqualFold(w.Name, name) {
+			return w, nil
+		}
+		names = append(names, w.Name)
+	}
+	return apps.Workload{}, scerr.BadConfig("unknown app %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
+// braidOnDevice runs the Policy-6 braid compile of w under the run's
+// seed on the device (and live defects) cfg names. A compile the device
+// cannot route — endpoints cut off by defects, or a fabric disconnected
+// mid-schedule — reports unroutable with a zero result instead of
+// failing the grid.
+func (e *env) braidOnDevice(ctx context.Context, w apps.Workload, cfg braid.Config) (r braid.Result, unroutable bool, err error) {
+	cfg.Seed = e.seed
+	r, err = braid.SimulateContext(ctx, w.Circuit, braid.Policy6, cfg)
+	if errors.Is(err, scerr.ErrUnroutable) {
+		return braid.Result{}, true, nil
+	}
+	return r, false, err
+}
+
+// scheduleLogicalRate estimates the probability of at least one logical
+// error over a braid schedule: tiles × cycles × the per-tile rate,
+// capped at 1 — longer schedules accumulate more logical error.
+func scheduleLogicalRate(r braid.Result, perTile float64) float64 {
+	if lr := float64(r.Tiles) * float64(r.ScheduleCycles) * perTile; lr < 1 {
+		return lr
+	}
+	return 1
+}
+
+// validate rejects knobs no study can run with, the way the service
+// rejects a bad target or device: -d below 1, and defect fractions
+// outside [0,1) or NaN.
+func (e *env) validate() error {
+	if e.distance < 1 {
+		return scerr.BadConfig("-d %d < 1", e.distance)
+	}
+	for _, f := range e.fracs {
+		if !(f >= 0 && f < 1) {
+			return scerr.BadConfig("-defect-frac %g outside [0,1)", f)
+		}
+	}
+	return nil
+}
+
 // selectStudies resolves a comma-separated -study list to registry
 // entries in registry order.
 func selectStudies(list string) ([]study, error) {
@@ -179,9 +270,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// runStudies runs the selected studies in order and concatenates their
-// records.
+// runStudies validates the knobs, then runs the selected studies in
+// order and concatenates their records.
 func runStudies(ctx context.Context, e *env, selected []study) ([]sweep.CellResult, error) {
+	if err := e.validate(); err != nil {
+		return nil, err
+	}
 	out := &countingWriter{w: e.out}
 	e.out = out
 	var records []sweep.CellResult
@@ -265,7 +359,7 @@ func main() {
 }
 
 // parseFracs parses the -defect-frac list; empty selects the yield
-// grid's defaults.
+// study's defaults. Range checks are validate's.
 func parseFracs(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil

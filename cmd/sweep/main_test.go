@@ -3,9 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"surfcomm"
 	"surfcomm/internal/sweep"
 )
 
@@ -45,42 +50,143 @@ func TestStudyRegistry(t *testing.T) {
 	}
 }
 
-// TestStudiesWorkerInvariant runs table1,table2 serially and on two
-// workers: reports and serialized records must be byte-identical.
+// runSelected runs a -study list on e, returning the report and the
+// records.
+func runSelected(t *testing.T, e *env, list string) (string, []sweep.CellResult, error) {
+	t.Helper()
+	var out bytes.Buffer
+	e.out = &out
+	if err := e.newToolchain(); err != nil {
+		t.Fatal(err)
+	}
+	selected, err := selectStudies(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := runStudies(context.Background(), e, selected)
+	return out.String(), recs, err
+}
+
+// TestStudiesWorkerInvariant runs every study but modular (its wall_*
+// timings are machine-local) serially and on two workers: reports and
+// serialized records must be byte-identical. Every record outside the
+// defective-device studies (yield, calib) names the perfect device.
 func TestStudiesWorkerInvariant(t *testing.T) {
-	run := func(workers int) (report, records []byte) {
-		var out, js bytes.Buffer
-		e := &env{seed: 1, workers: workers, pp: 1e-8, distance: 9, out: &out}
-		if err := e.newToolchain(); err != nil {
-			t.Fatal(err)
+	var names []string
+	for _, s := range studies {
+		if s.name != "modular" {
+			names = append(names, s.name)
 		}
-		selected, err := selectStudies("table1,table2")
+	}
+	run := func(workers int) (string, []sweep.CellResult, []byte) {
+		e := &env{seed: 1, workers: workers, pp: 1e-8, app: "GSE", distance: 5}
+		report, recs, err := runSelected(t, e, strings.Join(names, ","))
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := runStudies(context.Background(), e, selected)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var js bytes.Buffer
 		if err := sweep.WriteRecords(&js, recs); err != nil {
 			t.Fatal(err)
 		}
-		return out.Bytes(), js.Bytes()
+		return report, recs, js.Bytes()
 	}
-	serialOut, serialRecs := run(1)
-	pooledOut, pooledRecs := run(2)
+	serialOut, recs, serialRecs := run(1)
+	pooledOut, _, pooledRecs := run(2)
 	if !bytes.Equal(serialRecs, pooledRecs) {
 		t.Errorf("records differ between 1 and 2 workers:\n%s\nvs\n%s", serialRecs, pooledRecs)
 	}
-	if !bytes.Equal(serialOut, pooledOut) {
+	if serialOut != pooledOut {
 		t.Errorf("reports differ between 1 and 2 workers")
 	}
-	for _, want := range []string{"Table 1:", "Table 2:"} {
-		if !bytes.Contains(serialOut, []byte(want)) {
+	for _, want := range []string{"Table 1:", "Table 2:", "Figure 6:", "Figure 9:", "§8.1", "Communication yield", "Calibration study"} {
+		if !strings.Contains(serialOut, want) {
 			t.Errorf("report lacks %q", want)
 		}
 	}
-	if !strings.Contains(string(serialRecs), `"study": "table2"`) {
-		t.Errorf("records lack table2 cells")
+	studied := map[string]bool{}
+	for _, r := range recs {
+		studied[r.Study] = true
+		if r.Study != "yield" && r.Study != "calib" && r.Device != "perfect" {
+			t.Errorf("%s record %s: device %q, want perfect", r.Study, r.Cell, r.Device)
+		}
+	}
+	for _, study := range []string{"table1", "table2", "characterization", "figure6", "figure7", "figure8", "figure9", "epr", "decoder", "decode", "yield", "calib"} {
+		if !studied[study] {
+			t.Errorf("records lack %s cells", study)
+		}
+	}
+}
+
+// TestYieldRecordIdentity pins the yield study's per-cell identity:
+// seeds derive from the base seed plus the cell index, each device
+// string names its realization, and the zero-fraction cells — the
+// perfect grid at any seed — agree.
+func TestYieldRecordIdentity(t *testing.T) {
+	e := &env{seed: 10, workers: 2, pp: 1e-8, distance: 9, fracs: []float64{0, 0.02}}
+	_, recs, err := runSelected(t, e, "yield")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("got %d records, want 4", len(recs))
+	}
+	for i, r := range recs {
+		if r.Study != "yield" || r.Seed != 10+int64(i) {
+			t.Errorf("record %d: study %q seed %d, want yield seed %d", i, r.Study, r.Seed, 10+i)
+		}
+		frac := e.fracs[i/2]
+		if want := fmt.Sprintf("(p=%g,seed=%d)", frac, r.Seed); !strings.Contains(r.Device, want) {
+			t.Errorf("record %d device %q does not name realization %s", i, r.Device, want)
+		}
+	}
+	if !reflect.DeepEqual(recs[0].Metrics, recs[1].Metrics) {
+		t.Errorf("zero-fraction trials differ: %v vs %v", recs[0].Metrics, recs[1].Metrics)
+	}
+}
+
+// TestFig6VerifyReplays drives `-study fig6 -app GSE -d 5 -verify`:
+// every policy's static schedule must pass replay validation.
+func TestFig6VerifyReplays(t *testing.T) {
+	e := &env{seed: 1, workers: 2, pp: 1e-8, app: "GSE", distance: 5, verify: true}
+	report, _, err := runSelected(t, e, "fig6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(report, "replay-ok"); n != 7 {
+		t.Errorf("%d replay-ok lines, want one per policy (7):\n%s", n, report)
+	}
+}
+
+// TestBadKnobsRejected pins the up-front validation: an unknown -app, a
+// -d below 1 and a defect fraction outside [0,1) or NaN fail with
+// ErrBadConfig instead of running a silently different study.
+func TestBadKnobsRejected(t *testing.T) {
+	cases := []struct {
+		name  string
+		study string
+		set   func(*env)
+	}{
+		{"fig6 unknown app", "fig6", func(e *env) { e.app = "nope" }},
+		{"yield unknown app", "yield", func(e *env) { e.app = "nope" }},
+		{"calib unknown app", "calib", func(e *env) { e.app = "nope" }},
+		{"d=0", "table1", func(e *env) { e.distance = 0 }},
+		{"d=-3", "table1", func(e *env) { e.distance = -3 }},
+		{"frac 1.5", "table1", func(e *env) { e.fracs = []float64{0, 1.5} }},
+		{"frac -0.1", "table1", func(e *env) { e.fracs = []float64{-0.1} }},
+		{"frac NaN", "table1", func(e *env) { e.fracs = []float64{math.NaN()} }},
+	}
+	for _, tc := range cases {
+		e := &env{seed: 1, workers: 1, pp: 1e-8, distance: 9}
+		tc.set(e)
+		_, _, err := runSelected(t, e, tc.study)
+		if !errors.Is(err, surfcomm.ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", tc.name, err)
+		}
+	}
+	_, _, err := runSelected(t, &env{seed: 1, workers: 1, pp: 1e-8, distance: 9, app: "nope"}, "fig6")
+	for _, w := range surfcomm.Fig6Suite() {
+		if err == nil || !strings.Contains(err.Error(), w.Name) {
+			t.Errorf("unknown-app error %v does not list %q", err, w.Name)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"surfcomm/internal/decoder"
+	"surfcomm/internal/device"
 	"surfcomm/internal/sweep"
 )
 
@@ -51,7 +52,6 @@ func runDecode(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 			return nil, err
 		}
 		cells = append(cells, cross...)
-		records = append(records, sweep.DecodeBenchRecords("decode", cells)...)
 		ops[name] = map[int]float64{}
 		for _, c := range cells {
 			perTrial := float64(c.WorkOps) / float64(c.Trials)
@@ -60,6 +60,22 @@ func runDecode(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 			}
 			fmt.Fprintf(e.out, "%-10s %-6d %10.2f %10d %12d %14.1f\n",
 				name, c.Distance, c.PhysicalRate, c.Failures, c.Trials, perTrial)
+			// Work-ops, not wall clock, so the artifact is
+			// byte-identical on any machine.
+			records = append(records, sweep.CellResult{
+				Study:    "decode",
+				Device:   device.PresetPerfect,
+				Strategy: name,
+				Cell:     fmt.Sprintf("d=%d/p=%.2e/%s", c.Distance, c.PhysicalRate, name),
+				Seed:     c.Seed,
+				Metrics: map[string]float64{
+					"failures":          float64(c.Failures),
+					"logical_rate":      c.LogicalRate,
+					"trials":            float64(c.Trials),
+					"workops":           float64(c.WorkOps),
+					"workops_per_trial": perTrial,
+				},
+			})
 		}
 	}
 
@@ -75,14 +91,9 @@ func runDecode(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 			break
 		}
 	}
-	records = append(records, sweep.CellResult{
-		Study:    "decode",
-		Cell:     "crossover/p=8.00e-02",
-		Seed:     e.seed,
-		Metrics:  map[string]float64{"crossover_distance": float64(crossover)},
-		Device:   "perfect",
-		Strategy: decoder.StrategyUnionFind,
-	})
+	rec := e.perfect("decode", "crossover/p=8.00e-02", map[string]float64{"crossover_distance": float64(crossover)})
+	rec.Strategy = decoder.StrategyUnionFind
+	records = append(records, rec)
 	if crossover >= 0 {
 		fmt.Fprintf(e.out, "crossover: unionfind cheaper than mwpm from d=%d on (p=0.08, work-ops/trial)\n", crossover)
 	} else {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"surfcomm/internal/decoder"
+	"surfcomm/internal/device"
 	"surfcomm/internal/sweep"
 )
 
@@ -24,10 +25,23 @@ func runDecoder(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 	fmt.Fprintf(e.out, "§2.3: Monte Carlo error-model validation (logical rate per decode round, %s)\n", strategy)
 	fmt.Fprintln(e.out, strings.Repeat("-", 56))
 	fmt.Fprintf(e.out, "%-6s %10s %10s %12s %10s\n", "d", "p", "failures", "trials", "p_L")
+	records := make([]sweep.CellResult, 0, len(cells))
 	for _, c := range cells {
 		fmt.Fprintf(e.out, "%-6d %10.2f %10d %12d %10.4f\n",
 			c.Distance, c.PhysicalRate, c.Failures, c.Trials, c.LogicalRate)
+		records = append(records, sweep.CellResult{
+			Study:    "decoder",
+			Device:   device.PresetPerfect,
+			Strategy: c.Strategy,
+			Cell:     fmt.Sprintf("d=%d/p=%.2e", c.Distance, c.PhysicalRate),
+			Seed:     c.Seed, // the cell's own derived Monte Carlo seed
+			Metrics: map[string]float64{
+				"failures":     float64(c.Failures),
+				"logical_rate": c.LogicalRate,
+				"trials":       float64(c.Trials),
+			},
+		})
 	}
 	fmt.Fprintln(e.out, "Paper: below threshold, each distance step suppresses the logical rate.")
-	return sweep.DecoderRecords(cells), nil
+	return records, nil
 }

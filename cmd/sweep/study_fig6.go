@@ -16,11 +16,19 @@ import (
 // is recorded and replay-validated (dependencies respected, no
 // double-booked tiles, junctions or links).
 func runFig6(ctx context.Context, e *env) ([]sweep.CellResult, error) {
+	app := ""
+	if e.app != "" {
+		w, err := workload(e.app)
+		if err != nil {
+			return nil, err
+		}
+		app = w.Name
+	}
 	cells, err := sweep.Figure6(ctx, e.grid("fig6"), sweep.Figure6Options{
 		Distance:       e.distance,
 		LocalTOps:      e.localT,
 		RecordSchedule: e.verify,
-		App:            e.app,
+		App:            app,
 	})
 	if err != nil {
 		return nil, err
@@ -39,6 +47,7 @@ func runFig6(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 	for _, w := range surfcomm.Fig6Suite() {
 		suite[w.Name] = w.Circuit
 	}
+	var records []sweep.CellResult
 	lastApp := ""
 	for _, c := range cells {
 		if lastApp != "" && c.App != lastApp {
@@ -54,6 +63,8 @@ func runFig6(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 		}
 		fmt.Fprintf(e.out, "%-8s Policy %-3d %12.2f %12.1f %10d %10d %10d%s\n",
 			c.App, c.Policy, c.Ratio, 100*c.Util, c.Braids, c.Adaptive, c.Reinjections, status)
+		records = append(records, e.perfect("figure6", fmt.Sprintf("%s/policy%d", c.App, c.Policy),
+			map[string]float64{"ratio": c.Ratio, "util": c.Util, "cycles": float64(c.Cycles)}))
 	}
 	if lastApp != "" {
 		fmt.Fprintln(e.out, rule)
@@ -61,5 +72,5 @@ func runFig6(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 	fmt.Fprintln(e.out, "Paper: parallel apps (SHA-1, IM) start up to ~12x above the critical path and")
 	fmt.Fprintln(e.out, "policies recover up to ~7x, while serial apps are near-critical-path throughout;")
 	fmt.Fprintln(e.out, "utilization rises with policy sophistication (up to ~22%).")
-	return sweep.Figure6Records(e.seed, cells), nil
+	return records, nil
 }

@@ -28,7 +28,9 @@ func runFig7(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	records := make([]sweep.CellResult, 0, len(pts))
 	for i, dp := range pts {
+		records = append(records, e.curveRecord("figure7", m.Name, dp))
 		if i%2 != 0 {
 			continue
 		}
@@ -36,5 +38,17 @@ func runFig7(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 			dp.TotalOps, dp.Distance, dp.PlanarSeconds, dp.DDSeconds, dp.PlanarQubits, dp.DDQubits)
 	}
 	fmt.Fprintln(e.out, "Paper: small instances run in under a second; ~1000 physical qubits for modest sizes.")
-	return sweep.CurveRecords("figure7", m.Name, e.pp, e.seed, pts), nil
+	return records, nil
+}
+
+// curveRecord is the record of one Figure 7/8 design point at -pp.
+func (e *env) curveRecord(study, app string, dp surfcomm.DesignPoint) sweep.CellResult {
+	return e.perfect(study, fmt.Sprintf("%s/K=%.1e/pp=%.0e", app, dp.TotalOps, e.pp), map[string]float64{
+		"distance":         float64(dp.Distance),
+		"planar_seconds":   dp.PlanarSeconds,
+		"dd_seconds":       dp.DDSeconds,
+		"planar_qubits":    dp.PlanarQubits,
+		"dd_qubits":        dp.DDQubits,
+		"space_time_ratio": dp.SpaceTimeRatio,
+	})
 }

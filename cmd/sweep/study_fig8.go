@@ -29,8 +29,8 @@ func runFig8(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		records = append(records, sweep.CurveRecords("figure8", name, e.pp, e.seed, pts)...)
 		for i, dp := range pts {
+			records = append(records, e.curveRecord("figure8", name, dp))
 			if i%2 != 0 {
 				continue
 			}

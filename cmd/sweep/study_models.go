@@ -13,5 +13,14 @@ func runModels(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sweep.ModelRecords(e.seed, models), nil
+	records := make([]sweep.CellResult, 0, len(models))
+	for _, m := range models {
+		records = append(records, e.perfect("characterization", m.Name, map[string]float64{
+			"parallelism":       m.Parallelism,
+			"sched_parallelism": m.SchedParallelism,
+			"move_fraction":     m.MoveFraction,
+			"congestion_dd":     m.CongestionDD,
+		}))
+	}
+	return records, nil
 }

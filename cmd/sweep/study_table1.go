@@ -80,18 +80,16 @@ func runTable1(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 	fmt.Fprintln(e.out, "Double-defect/braid: high space, distance-independent latency, not prefetchable.")
 
 	return []sweep.CellResult{
-		{Study: "table1", Cell: "teleportation", Seed: e.seed,
-			Metrics: map[string]float64{
-				"tile_qubits": float64(surfcomm.PlanarTileQubits(d)),
-				"near_cycles": float64(nearTele),
-				"far_cycles":  float64(farTele),
-				"jit_stall":   float64(hiddenTele),
-			}},
-		{Study: "table1", Cell: "braiding", Seed: e.seed,
-			Metrics: map[string]float64{
-				"tile_qubits": float64(surfcomm.DoubleDefectTileQubits(d)),
-				"near_cycles": float64(nearBraid),
-				"far_cycles":  float64(farBraid),
-			}},
+		e.perfect("table1", "teleportation", map[string]float64{
+			"tile_qubits": float64(surfcomm.PlanarTileQubits(d)),
+			"near_cycles": float64(nearTele),
+			"far_cycles":  float64(farTele),
+			"jit_stall":   float64(hiddenTele),
+		}),
+		e.perfect("table1", "braiding", map[string]float64{
+			"tile_qubits": float64(surfcomm.DoubleDefectTileQubits(d)),
+			"near_cycles": float64(nearBraid),
+			"far_cycles":  float64(farBraid),
+		}),
 	}, nil
 }

@@ -25,17 +25,14 @@ func runTable2(ctx context.Context, e *env) ([]sweep.CellResult, error) {
 		est := estimates[i]
 		fmt.Fprintf(e.out, "%-8s %-10d %-10d %-10d %-10d %-12d %.1f\n",
 			w.Name, est.LogicalQubits, est.LogicalOps, est.TCount, est.TwoQubitOps, est.CriticalPath, est.Parallelism)
-		records = append(records, sweep.CellResult{
-			Study: "table2", Cell: w.Name, Seed: e.seed,
-			Metrics: map[string]float64{
-				"qubits":      float64(est.LogicalQubits),
-				"ops":         float64(est.LogicalOps),
-				"t_count":     float64(est.TCount),
-				"two_q_ops":   float64(est.TwoQubitOps),
-				"depth":       float64(est.CriticalPath),
-				"parallelism": est.Parallelism,
-			},
-		})
+		records = append(records, e.perfect("table2", w.Name, map[string]float64{
+			"qubits":      float64(est.LogicalQubits),
+			"ops":         float64(est.LogicalOps),
+			"t_count":     float64(est.TCount),
+			"two_q_ops":   float64(est.TwoQubitOps),
+			"depth":       float64(est.CriticalPath),
+			"parallelism": est.Parallelism,
+		}))
 	}
 	fmt.Fprintln(e.out)
 	fmt.Fprintln(e.out, "Paper's parallelism factors: GSE 1.2, SQ 1.5, SHA-1 29, IM 66.")

@@ -19,7 +19,8 @@ import (
 // Config tunes a braid simulation. Zero values select defaults.
 type Config struct {
 	// Distance is the code distance d: braids stabilize for d cycles,
-	// local logical gates take d syndrome cycles. Zero selects 9.
+	// local logical gates take d syndrome cycles. Zero selects 9; a
+	// negative distance fails with an error matching ErrBadConfig.
 	Distance int
 	// Seed drives the layout optimizer.
 	Seed int64
@@ -330,6 +331,9 @@ func Simulate(c *circuit.Circuit, p Policy, cfg Config) (Result, error) {
 // matching scerr.ErrCanceled. The poll is a non-blocking select against
 // a pre-latched channel, so the hot path stays allocation-free.
 func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Config) (Result, error) {
+	if cfg.Distance < 0 {
+		return Result{}, scerr.BadConfig("braid: distance %d < 0", cfg.Distance)
+	}
 	cfg = cfg.withDefaults()
 	if p < Policy0 || p > Policy6 {
 		return Result{}, scerr.BadConfig("braid: unknown policy %d", int(p))

@@ -1,6 +1,7 @@
 package braid
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"surfcomm/internal/apps"
 	"surfcomm/internal/circuit"
 	"surfcomm/internal/layout"
+	"surfcomm/internal/scerr"
 )
 
 func simulate(t *testing.T, c *circuit.Circuit, p Policy, cfg Config) Result {
@@ -236,6 +238,18 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 	bad.Gates = append(bad.Gates, circuit.Gate{Op: circuit.CNOT, Qubits: []int{0, 7}})
 	if _, err := Simulate(bad, Policy1, Config{}); err == nil {
 		t.Error("invalid circuit should fail")
+	}
+}
+
+// A negative distance is a caller bug, rejected up front as bad config
+// instead of surfacing as an engine invariant mid-schedule.
+func TestSimulateRejectsNegativeDistance(t *testing.T) {
+	c := circuit.New("ok", 2)
+	c.Append(circuit.CNOT, 0, 1)
+	for _, d := range []int{-1, -3} {
+		if _, err := Simulate(c, Policy6, Config{Distance: d}); !errors.Is(err, scerr.ErrBadConfig) {
+			t.Errorf("distance %d: err = %v, want ErrBadConfig", d, err)
+		}
 	}
 }
 

@@ -1,25 +1,22 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
-
-	"context"
 
 	"surfcomm/internal/apps"
 	"surfcomm/internal/braid"
 	"surfcomm/internal/decoder"
 	"surfcomm/internal/device"
-	"surfcomm/internal/simd"
-	"surfcomm/internal/teleport"
 	"surfcomm/internal/toolflow"
 )
 
-// The domain grids: each study of the paper's evaluation expressed as
-// independent cells over the Map runner. Every grid is a pure function
-// of (inputs, seed), so runs at any worker count agree cell-for-cell
-// with a serial run.
+// The domain grids the Toolchain and the root tests and benchmarks
+// drive, as independent cells over the Map runner. Every grid is a pure
+// function of (inputs, seed), so runs at any worker count agree
+// cell-for-cell with a serial run.
 
 // Characterize measures app models for the given workloads in parallel
 // — one cell per workload, each running the full frontend + Multi-SIMD
@@ -77,46 +74,6 @@ func Boundary(ctx context.Context, opt Options, models []toolflow.AppModel, rate
 		out[mi] = pts[mi*len(rates) : (mi+1)*len(rates)]
 	}
 	return out, nil
-}
-
-// EPRCell is one application's §8.1 window-sweep study.
-type EPRCell struct {
-	Name      string
-	Moves     int
-	Timesteps int
-	JIT       int64
-	// JITIndex is the position of the JIT-window row in Rows, so
-	// consumers never hard-code the window ordering.
-	JITIndex int
-	Rows     []teleport.Result
-}
-
-// EPRWindows runs the §8.1 pipelined-EPR window study for every Fig. 6
-// workload in parallel — one cell per application, each scheduling the
-// circuit on the Multi-SIMD machine and sweeping look-ahead windows
-// around the JIT heuristic.
-func EPRWindows(ctx context.Context, opt Options, cfg teleport.Config) ([]EPRCell, error) {
-	return Map(ctx, opt, apps.Fig6Suite(), func(_ int, w apps.Workload) (EPRCell, error) {
-		sched, err := simd.RunContext(ctx, w.Circuit, simd.ConfigFor(w.Circuit.NumQubits, opt.Seed))
-		if err != nil {
-			return EPRCell{}, err
-		}
-		jit := teleport.JITWindow(sched, cfg)
-		const jitIndex = 3
-		windows := []int64{0, jit / 4, jit / 2, jit, 2 * jit, 8 * jit, teleport.PrefetchAll}
-		rows, err := teleport.SweepWindowsContext(ctx, sched, windows, cfg)
-		if err != nil {
-			return EPRCell{}, err
-		}
-		return EPRCell{
-			Name:      w.Name,
-			Moves:     len(sched.Moves),
-			Timesteps: sched.Timesteps,
-			JIT:       jit,
-			JITIndex:  jitIndex,
-			Rows:      rows,
-		}, nil
-	})
 }
 
 // DecoderCell is one Monte Carlo decoding cell of the §2.3 error-model

@@ -1,5 +1,5 @@
 // Package sweep is the parallel evaluation-grid runner behind the
-// paper's design-space studies (Figures 7–9, §8.1). The evaluation is a
+// paper's design-space studies (Figures 6–9, §8.1). The evaluation is a
 // wide grid — applications × braid policies × code distances × physical
 // error rates — whose cells are independent simulations, so the package
 // fans them across a bounded worker pool while keeping every result in
@@ -21,10 +21,13 @@
 // and wastes at most one in-flight cell per worker), and Options can
 // carry a progress callback so callers stream partial grid results.
 //
-// The domain grids in grid.go cover app-model characterization and the
-// figure sweeps; record.go serializes per-cell results as stable JSON
-// so benchmark trajectories (BENCH_*.json) can be tracked across
-// revisions.
+// The domain grids in grid.go are the ones callers outside cmd/sweep
+// drive: app-model characterization, the Figure 7-9 curves and
+// boundaries, the Figure 6 policy grid and the decoder grid. Studies
+// that only cmd/sweep runs call Map themselves and build their records
+// where they print them; record.go serializes those per-cell records as
+// stable JSON so benchmark trajectories (BENCH_*.json) can be tracked
+// across revisions.
 package sweep
 
 import (

@@ -12,7 +12,6 @@ import (
 
 	"surfcomm/internal/apps"
 	"surfcomm/internal/scerr"
-	"surfcomm/internal/teleport"
 	"surfcomm/internal/toolflow"
 )
 
@@ -171,10 +170,9 @@ func TestCharacterizeParallelEqualsSerial(t *testing.T) {
 	}
 }
 
-// The remaining two grids — the Figure 6 policy grid and the §8.1 EPR
-// window study — must also be worker-count-invariant; each cell is a
-// full simulation, so any shared mutable state across cells would show
-// up here as serial/parallel divergence.
+// The Figure 6 policy grid must also be worker-count-invariant; each
+// cell is a full simulation, so any shared mutable state across cells
+// would show up here as serial/parallel divergence.
 func TestFigure6ParallelEqualsSerial(t *testing.T) {
 	serial, err := Figure6(context.Background(), Options{Workers: 1, Seed: 1}, Figure6Options{Distance: 5})
 	if err != nil {
@@ -190,33 +188,6 @@ func TestFigure6ParallelEqualsSerial(t *testing.T) {
 	for i := range serial {
 		if serial[i] != wide[i] {
 			t.Fatalf("cell %d differs: %+v vs %+v", i, serial[i], wide[i])
-		}
-	}
-}
-
-func TestEPRWindowsParallelEqualsSerial(t *testing.T) {
-	cfg := teleport.Config{Distance: 9}
-	serial, err := EPRWindows(context.Background(), Options{Workers: 1, Seed: 1}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := EPRWindows(context.Background(), Options{Workers: 8, Seed: 1}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(wide) {
-		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(wide))
-	}
-	for i := range serial {
-		s, w := serial[i], wide[i]
-		if s.Name != w.Name || s.Moves != w.Moves || s.Timesteps != w.Timesteps ||
-			s.JIT != w.JIT || s.JITIndex != w.JITIndex || len(s.Rows) != len(w.Rows) {
-			t.Fatalf("cell %s differs: %+v vs %+v", s.Name, s, w)
-		}
-		for j := range s.Rows {
-			if s.Rows[j] != w.Rows[j] {
-				t.Fatalf("cell %s row %d differs: %+v vs %+v", s.Name, j, s.Rows[j], w.Rows[j])
-			}
 		}
 	}
 }
@@ -290,5 +261,45 @@ func TestMapPrecanceled(t *testing.T) {
 	}
 	if ran.Load() != 0 {
 		t.Errorf("%d cells ran under a pre-canceled context", ran.Load())
+	}
+}
+
+// MapFill keeps one output per item when the pool aborts: slots a
+// worker ran keep fn's output, and every slot no worker claimed is
+// filled from the abort error, which matches scerr.ErrCanceled.
+func TestMapFillCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type slot struct {
+		v   int
+		err error
+	}
+	out := MapFill(ctx, Options{Workers: 1}, make([]int, 6), func(i, _ int) slot {
+		if i == 2 {
+			cancel()
+		}
+		return slot{v: i + 1}
+	}, func(err error) slot { return slot{err: err} })
+	if len(out) != 6 {
+		t.Fatalf("%d slots, want 6", len(out))
+	}
+	for i, s := range out {
+		ran := i <= 2
+		if ran && (s.v != i+1 || s.err != nil) {
+			t.Errorf("slot %d = %+v, want fn's output", i, s)
+		}
+		if !ran && (s.v != 0 || !errors.Is(s.err, scerr.ErrCanceled)) {
+			t.Errorf("slot %d = %+v, want a fill matching ErrCanceled", i, s)
+		}
+	}
+
+	precanceled, stop := context.WithCancel(context.Background())
+	stop()
+	for i, s := range MapFill(precanceled, Options{Workers: 2}, make([]int, 4),
+		func(i, _ int) slot { return slot{v: 1} },
+		func(err error) slot { return slot{err: err} }) {
+		if !errors.Is(s.err, scerr.ErrCanceled) {
+			t.Errorf("pre-canceled slot %d = %+v, want ErrCanceled", i, s)
+		}
 	}
 }
