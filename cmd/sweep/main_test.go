@@ -67,54 +67,94 @@ func runSelected(t *testing.T, e *env, list string) (string, []sweep.CellResult,
 	return out.String(), recs, err
 }
 
+// studyRun is one study's report and records.
+type studyRun struct {
+	report string
+	recs   []sweep.CellResult
+}
+
+// encodeRecords serializes recs the way -json writes them.
+func encodeRecords(t *testing.T, recs []sweep.CellResult) []byte {
+	t.Helper()
+	var js bytes.Buffer
+	if err := sweep.WriteRecords(&js, recs); err != nil {
+		t.Fatal(err)
+	}
+	return js.Bytes()
+}
+
 // TestStudiesWorkerInvariant runs every study but modular (its wall_*
-// timings are machine-local) serially and on two workers: reports and
-// serialized records must be byte-identical. Every record outside the
+// timings are machine-local) serially and on two workers, one subtest
+// per study: its report and serialized records must be byte-identical.
+// The perfect_device subtest asserts every record outside the
 // defective-device studies (yield, calib) names the perfect device.
 func TestStudiesWorkerInvariant(t *testing.T) {
-	var names []string
+	var selected []study
 	for _, s := range studies {
 		if s.name != "modular" {
-			names = append(names, s.name)
+			selected = append(selected, s)
 		}
 	}
-	run := func(workers int) (string, []sweep.CellResult, []byte) {
+	// run executes the studies one at a time on one env, so the
+	// toolchain's caches are shared as in a multi-study run.
+	run := func(workers int) map[string]studyRun {
 		e := &env{seed: 1, workers: workers, pp: 1e-8, app: "GSE", distance: 5}
-		report, recs, err := runSelected(t, e, strings.Join(names, ","))
-		if err != nil {
+		if err := e.newToolchain(); err != nil {
 			t.Fatal(err)
 		}
-		var js bytes.Buffer
-		if err := sweep.WriteRecords(&js, recs); err != nil {
-			t.Fatal(err)
+		runs := map[string]studyRun{}
+		for _, s := range selected {
+			var out bytes.Buffer
+			e.out = &out
+			recs, err := runStudies(context.Background(), e, []study{s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[s.name] = studyRun{out.String(), recs}
 		}
-		return report, recs, js.Bytes()
+		return runs
 	}
-	serialOut, recs, serialRecs := run(1)
-	pooledOut, _, pooledRecs := run(2)
-	if !bytes.Equal(serialRecs, pooledRecs) {
-		t.Errorf("records differ between 1 and 2 workers:\n%s\nvs\n%s", serialRecs, pooledRecs)
-	}
-	if serialOut != pooledOut {
-		t.Errorf("reports differ between 1 and 2 workers")
+	serial, pooled := run(1), run(2)
+
+	var report strings.Builder
+	var recs []sweep.CellResult
+	for _, s := range selected {
+		a, b := serial[s.name], pooled[s.name]
+		report.WriteString(a.report)
+		recs = append(recs, a.recs...)
+		t.Run(s.name, func(t *testing.T) {
+			if len(a.recs) == 0 {
+				t.Error("no records")
+			}
+			if ja, jb := encodeRecords(t, a.recs), encodeRecords(t, b.recs); !bytes.Equal(ja, jb) {
+				t.Errorf("records differ between 1 and 2 workers:\n%s\nvs\n%s", ja, jb)
+			}
+			if a.report != b.report {
+				t.Errorf("reports differ between 1 and 2 workers:\n%s\nvs\n%s", a.report, b.report)
+			}
+		})
 	}
 	for _, want := range []string{"Table 1:", "Table 2:", "Figure 6:", "Figure 9:", "§8.1", "Communication yield", "Calibration study"} {
-		if !strings.Contains(serialOut, want) {
+		if !strings.Contains(report.String(), want) {
 			t.Errorf("report lacks %q", want)
 		}
 	}
 	studied := map[string]bool{}
 	for _, r := range recs {
 		studied[r.Study] = true
-		if r.Study != "yield" && r.Study != "calib" && r.Device != "perfect" {
-			t.Errorf("%s record %s: device %q, want perfect", r.Study, r.Cell, r.Device)
-		}
 	}
 	for _, study := range []string{"table1", "table2", "characterization", "figure6", "figure7", "figure8", "figure9", "epr", "decoder", "decode", "yield", "calib"} {
 		if !studied[study] {
 			t.Errorf("records lack %s cells", study)
 		}
 	}
+	t.Run("perfect_device", func(t *testing.T) {
+		for _, r := range recs {
+			if r.Study != "yield" && r.Study != "calib" && r.Device != "perfect" {
+				t.Errorf("%s record %s: device %q, want perfect", r.Study, r.Cell, r.Device)
+			}
+		}
+	})
 }
 
 // TestYieldRecordIdentity pins the yield study's per-cell identity:
