@@ -28,10 +28,6 @@ type Config struct {
 	// the router escalates from dimension-ordered to adaptive routes.
 	// Zero selects one braid lifetime, 2(d+1).
 	AdaptTimeout int64
-	// DropTimeout is how long an event may be blocked before it is
-	// dropped and re-injected (demoted behind fresh events). Zero
-	// selects 8(d+1).
-	DropTimeout int64
 	// LocalTOps is the ablation knob: when true, T gates execute
 	// locally (magic states assumed pre-delivered) instead of braiding
 	// a state in from a factory port. The paper's model — and the
@@ -44,16 +40,11 @@ type Config struct {
 	// pipeline throughput. Zero selects d (factories continuously
 	// prepare states, paper §4.3).
 	FactoryRefill int64
-	// MaxAttemptsPerRound bounds failed placement attempts per
-	// scheduling round (greedy placement stops after this many misses;
-	// a full scan is forced whenever the network is idle). Zero
-	// selects 48.
-	MaxAttemptsPerRound int
 	// Device is the physical topology the machine is realized on: dead
 	// tiles are never placed or routed through, disabled links are
 	// excluded from routing, and link latency multipliers stretch braid
 	// stabilization. Nil (or device.Perfect()) selects the ideal uniform
-	// grid and keeps every path bit-identical to the pre-device engine.
+	// grid: a nil placement view and an unmasked, uncalibrated mesh.
 	Device *device.Device
 	// Surgery switches the engine to lattice-surgery timing (paper
 	// §8.2): a communicating op becomes a chain of patch merges and
@@ -88,17 +79,16 @@ func (c Config) withDefaults() Config {
 	if c.AdaptTimeout == 0 {
 		c.AdaptTimeout = int64(2 * (c.Distance + 1))
 	}
-	if c.DropTimeout == 0 {
-		c.DropTimeout = int64(8 * (c.Distance + 1))
-	}
 	if c.FactoryRefill == 0 {
 		c.FactoryRefill = int64(c.Distance)
 	}
-	if c.MaxAttemptsPerRound == 0 {
-		c.MaxAttemptsPerRound = 48
-	}
 	return c
 }
+
+// maxAttemptsPerRound bounds failed placement attempts per scheduling
+// round: greedy placement stops after this many misses (a full scan is
+// forced whenever the network is idle).
+const maxAttemptsPerRound = 48
 
 // Result reports one braid simulation (one bar plus one utilization
 // point of Figure 6).
@@ -426,8 +416,8 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Conf
 // usable data tiles. The data grid grows beyond the ideal near-square
 // fit until enough tiles survive the defect map; a yield too low to
 // ever fit the circuit fails with an error matching scerr.ErrUnroutable.
-// Perfect (and nil) devices return (nil, nil): every caller stays on
-// the original ideal-grid path.
+// Perfect (and nil) devices return (nil, nil): the nil view is the
+// ideal grid.
 func realizeDevice(dev *device.Device, qubits int, fixed *layout.Placement) (*device.Topology, *device.View, error) {
 	if dev.IsPerfect() {
 		return nil, nil, nil
@@ -782,7 +772,9 @@ func (e *engine) trySchedule(full bool, heights []int) int {
 			e.atMaxRetireDeferred(&ev, &resorted)
 			continue
 		}
-		if age := e.now - ev.readySince; e.cfg.DropTimeout > 0 && age > e.cfg.DropTimeout {
+		// An event blocked for more than four braid lifetimes, 8(d+1)
+		// cycles, is dropped and re-injected behind fresh events.
+		if age := e.now - ev.readySince; age > int64(8*(e.cfg.Distance+1)) {
 			ev.generation++
 			ev.readySince = e.now
 			e.reinjections++
@@ -790,7 +782,7 @@ func (e *engine) trySchedule(full bool, heights []int) int {
 		}
 		failures++
 		out = append(out, ev)
-		if !full && failures >= e.cfg.MaxAttemptsPerRound {
+		if !full && failures >= maxAttemptsPerRound {
 			stop = idx
 		}
 	}
@@ -974,53 +966,28 @@ func (e *engine) placeClose(ev *event, o *op, src, dst mesh.Node) bool {
 }
 
 // route escalates from dimension-ordered to adaptive search once the
-// event has been blocked past the adaptivity timeout (paper §6.1). On a
-// device-masked mesh the escalation is immediate when the dimension-
-// ordered path crosses a dead junction or disabled link: that
-// obstruction is permanent, so waiting out the congestion timeout would
-// only stall (or deadlock) the schedule. The candidate path is built in
-// a pooled buffer: a successful route keeps it until the braid phase
-// releases, a failed attempt returns it — so routing allocates nothing
-// once the pool has warmed up.
+// event has been blocked past the adaptivity timeout (paper §6.1). The
+// XY path is the first candidate. On a calibrated fabric both
+// dimension-ordered paths are priced per traversed link (mesh.PathCost)
+// and YX goes first only when strictly cheaper, so the router prefers
+// fast, low-error corridors while a uniform calibration routes exactly
+// like an uncalibrated mesh. On escalation the other dimension-ordered
+// path is tried (built only then on an uncalibrated mesh), then the
+// adaptive BFS fallback. On a device-masked mesh the escalation is
+// immediate when the first candidate crosses a dead junction or
+// disabled link: that obstruction is permanent, so waiting out the
+// congestion timeout would only stall (or deadlock) the schedule.
+// Candidates are built in pooled buffers: a successful route keeps its
+// buffer until the braid phase releases, the rest return to the pool —
+// so routing allocates nothing once the pool has warmed up.
 func (e *engine) route(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
+	first := mesh.XYPathInto(e.getPath(), src, dst)
+	var second mesh.Path
 	if e.net.Calibrated() {
-		return e.routeCalibrated(ev, src, dst)
-	}
-	p := mesh.XYPathInto(e.getPath(), src, dst)
-	if e.net.PathFree(p) {
-		return p, true
-	}
-	escalate := e.now-ev.readySince >= e.cfg.AdaptTimeout
-	if !escalate && e.net.Masked() && e.net.PathBlockedByMask(p) {
-		escalate = true
-	}
-	if escalate {
-		p = mesh.YXPathInto(p, src, dst)
-		if e.net.PathFree(p) {
-			return p, true
+		second = mesh.YXPathInto(e.getPath(), src, dst)
+		if e.net.PathCost(second) < e.net.PathCost(first) {
+			first, second = second, first
 		}
-		var ok bool
-		if p, ok = e.net.AdaptiveRouteInto(p, src, dst); ok {
-			e.adaptiveRoutes++
-			return p, true
-		}
-	}
-	e.putPath(p)
-	return nil, false
-}
-
-// routeCalibrated is route on a calibrated fabric: both dimension-
-// ordered candidates are priced per traversed link (mesh.PathCost) and
-// the cheaper free one wins — the router prefers fast, low-error
-// corridors instead of taking the XY staircase unconditionally. Ties
-// keep XY, so a uniform calibration routes exactly like the legacy
-// path. Escalation to the adaptive BFS fallback is unchanged.
-func (e *engine) routeCalibrated(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
-	xy := mesh.XYPathInto(e.getPath(), src, dst)
-	yx := mesh.YXPathInto(e.getPath(), src, dst)
-	first, second := xy, yx
-	if e.net.PathCost(yx) < e.net.PathCost(xy) {
-		first, second = yx, xy
 	}
 	if e.net.PathFree(first) {
 		e.putPath(second)
@@ -1031,6 +998,9 @@ func (e *engine) routeCalibrated(ev *event, src, dst mesh.Node) (mesh.Path, bool
 		escalate = true
 	}
 	if escalate {
+		if second == nil {
+			second = mesh.YXPathInto(e.getPath(), src, dst)
+		}
 		if e.net.PathFree(second) {
 			e.putPath(first)
 			return second, true

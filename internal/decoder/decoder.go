@@ -140,32 +140,6 @@ func abs(x int) int {
 	return x
 }
 
-// Decode returns a correction pattern whose application clears the
-// syndrome: defects are paired by matching and each pair is joined by a
-// geodesic chain of edge flips. The correction plus the true error
-// always forms closed loops; decoding succeeds when no loop winds
-// around the torus.
-func (l *Lattice) Decode(syndrome []bool) (ErrorPattern, error) {
-	if len(syndrome) != l.Checks() {
-		return nil, fmt.Errorf("decoder: syndrome length %d != %d checks", len(syndrome), l.Checks())
-	}
-	var defects []defect
-	for i, hot := range syndrome {
-		if hot {
-			defects = append(defects, defect{r: i / l.d, c: i % l.d})
-		}
-	}
-	if len(defects)%2 != 0 {
-		return nil, fmt.Errorf("decoder: odd defect count %d (corrupted syndrome)", len(defects))
-	}
-	pairs := l.match(defects)
-	correction := l.NewErrorPattern()
-	for _, p := range pairs {
-		l.flipGeodesic(correction, defects[p[0]], defects[p[1]])
-	}
-	return correction, nil
-}
-
 // cand is one candidate defect pairing with its matching weight.
 type cand struct{ a, b, w int }
 
@@ -247,15 +221,6 @@ func (ms *matchScratch) matchPairs(n int, dist func(a, b int) int) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// match pairs defects with a fresh scratch (steady-state callers hold a
-// trialScratch and call matchPairs directly).
-func (l *Lattice) match(defects []defect) [][2]int {
-	var ms matchScratch
-	return ms.matchPairs(len(defects), func(a, b int) int {
-		return l.torusDist(defects[a], defects[b])
-	})
 }
 
 // flipGeodesic flips the edges of a shortest torus path between two

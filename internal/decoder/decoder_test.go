@@ -1,9 +1,12 @@
 package decoder
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"surfcomm/internal/scerr"
 )
 
 func lattice(t *testing.T, d int) *Lattice {
@@ -13,6 +16,12 @@ func lattice(t *testing.T, d int) *Lattice {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// decode runs the matching decoder on one syndrome with a fresh solver.
+func decode(l *Lattice, syndrome []bool) (ErrorPattern, error) {
+	corr := l.NewErrorPattern()
+	return corr, MWPM().NewSolver(l).Decode(corr, syndrome)
 }
 
 func TestNewLatticeValidation(t *testing.T) {
@@ -53,7 +62,7 @@ func TestNoErrorNoSyndrome(t *testing.T) {
 			t.Fatalf("clean pattern produced defect at %d", i)
 		}
 	}
-	corr, err := l.Decode(s)
+	corr, err := decode(l, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +89,7 @@ func TestSingleErrorExactlyCorrected(t *testing.T) {
 			if defects != 2 {
 				t.Fatalf("d=%d single error on %d: %d defects, want 2", d, q, defects)
 			}
-			corr, err := l.Decode(s)
+			corr, err := decode(l, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,13 +146,13 @@ func TestWindingLoopIsLogical(t *testing.T) {
 
 func TestDecodeRejectsBadSyndrome(t *testing.T) {
 	l := lattice(t, 3)
-	if _, err := l.Decode(make([]bool, 5)); err == nil {
-		t.Error("wrong-length syndrome should fail")
+	if _, err := decode(l, make([]bool, 5)); !errors.Is(err, scerr.ErrBadConfig) {
+		t.Errorf("wrong-length syndrome err = %v, want ErrBadConfig", err)
 	}
 	odd := make([]bool, l.Checks())
 	odd[0] = true
-	if _, err := l.Decode(odd); err == nil {
-		t.Error("odd defect count should fail")
+	if _, err := decode(l, odd); !errors.Is(err, scerr.ErrBadConfig) {
+		t.Errorf("odd defect count err = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -159,7 +168,7 @@ func TestCorrectionClearsSyndromeQuick(t *testing.T) {
 				e[q] = true
 			}
 		}
-		corr, err := l.Decode(l.Syndrome(e))
+		corr, err := decode(l, l.Syndrome(e))
 		if err != nil {
 			return false
 		}
@@ -249,7 +258,10 @@ func TestMatchRefinementImproves(t *testing.T) {
 	// total weight is minimal.
 	l := lattice(t, 7)
 	defects := []defect{{0, 0}, {0, 3}, {1, 0}, {1, 3}}
-	pairs := l.match(defects)
+	var ms matchScratch
+	pairs := ms.matchPairs(len(defects), func(a, b int) int {
+		return l.torusDist(defects[a], defects[b])
+	})
 	total := 0
 	for _, p := range pairs {
 		total += l.torusDist(defects[p[0]], defects[p[1]])

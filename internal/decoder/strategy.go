@@ -30,8 +30,9 @@ const (
 type Solver interface {
 	// Decode writes a correction clearing the syndrome (length Checks)
 	// into correction (length DataQubits, cleared by the solver). It
-	// fails on syndromes no correction can clear (odd defect parity on
-	// a boundaryless lattice).
+	// fails with an error matching scerr.ErrBadConfig on a syndrome of
+	// the wrong length or one no correction can clear (odd defect
+	// parity on a boundaryless lattice).
 	Decode(correction ErrorPattern, syndrome []bool) error
 	// DecodeHistory decodes a space-time syndrome volume: changes holds
 	// rounds × Checks() syndrome-CHANGE bits in round-major order
@@ -120,6 +121,9 @@ func (s *mwpmSolver) WorkOps() uint64 { return s.match.ops }
 
 func (s *mwpmSolver) Decode(correction ErrorPattern, syndrome []bool) error {
 	l := s.l
+	if len(syndrome) != l.Checks() {
+		return scerr.BadConfig("decoder: syndrome length %d != %d checks", len(syndrome), l.Checks())
+	}
 	s.defects = s.defects[:0]
 	for i, hot := range syndrome {
 		if hot {

@@ -13,9 +13,9 @@
 // concrete grid size yields a Topology, the realized defect map. The
 // same (device, dims) pair always realizes the same Topology, so
 // defective-device sweeps are deterministic and their records
-// reproducible. The Perfect device realizes a defect-free grid and is
-// guaranteed to leave every consumer on its original, bit-identical
-// fast path.
+// reproducible. The Perfect device realizes a defect-free grid, which
+// consumers represent as the ideal grid itself — a nil placement view
+// and an unmasked mesh — so its outputs are bit-identical to it.
 package device
 
 import (
@@ -68,8 +68,7 @@ type Device struct {
 
 // Perfect returns the ideal uniform device: no dead tiles, no disabled
 // links, all link weights 1. Consumers treat it (and a nil Device) as
-// the original hardcoded grid and stay on their allocation-free,
-// bit-identical fast paths.
+// the ideal grid: a nil placement view and an unmasked mesh.
 func Perfect() *Device { return &Device{preset: PresetPerfect} }
 
 // RandomYield returns a device where each tile and each link is
@@ -107,7 +106,7 @@ func HeavyHex(seed int64) *Device {
 
 // OnGraph returns a device realized on an arbitrary coupling pattern.
 // The complete square graph realizes non-degraded topologies and keeps
-// every consumer on its perfect fast path.
+// every consumer on the ideal grid.
 func OnGraph(g *CouplingGraph, seed int64) *Device {
 	if g == nil || g.Name() == GraphSquare {
 		return Perfect()

@@ -90,7 +90,7 @@ func (g *CouplingGraph) Apply(t *Topology) {
 
 // SquareGraph returns the complete square mesh — the pattern the rest
 // of the toolchain was built on. Realizing it is a no-op: perfect
-// devices stay on their bit-identical fast paths.
+// devices stay on the ideal grid.
 func SquareGraph() *CouplingGraph {
 	return &CouplingGraph{name: GraphSquare}
 }

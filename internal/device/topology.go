@@ -11,7 +11,7 @@ import "fmt"
 // A freshly built Topology is perfect; defects are applied through
 // DisableTile/DisableLink/SetLinkWeight. Once any defect or non-unit
 // weight exists the topology reports Degraded, which is the flag
-// consumers use to leave their ideal-grid fast paths.
+// consumers use to leave the ideal grid (a nil view, an unmasked mesh).
 type Topology struct {
 	rows, cols int
 	dead       []bool
@@ -25,7 +25,7 @@ type Topology struct {
 	// Calibration overlay (nil/false until a snapshot is applied):
 	// per-cell effective physical error rates and per-link gate error
 	// rates. A calibrated topology reports Degraded even with no dead
-	// cells, so consumers leave their uniform fast paths and price the
+	// cells, so consumers leave the ideal grid and price the
 	// heterogeneity.
 	tileErr    []float64
 	eH, eV     []float64
@@ -181,7 +181,7 @@ func (t *Topology) SetLinkWeight(a, b Coord, w float64) {
 // Degraded reports whether the topology differs from the perfect grid
 // in any way — dead cells, disabled links, non-unit weights, or a
 // calibration overlay — the flag consumers use to stay on (or leave)
-// their ideal-grid fast paths.
+// the ideal grid.
 func (t *Topology) Degraded() bool { return t.degraded || t.calibrated }
 
 // Calibrated reports whether a calibration snapshot has been applied:

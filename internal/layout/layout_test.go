@@ -7,6 +7,7 @@ import (
 
 	"surfcomm/internal/apps"
 	"surfcomm/internal/circuit"
+	"surfcomm/internal/device"
 	"surfcomm/internal/partition"
 )
 
@@ -93,7 +94,7 @@ func TestOptimizedValidPlacement(t *testing.T) {
 				_ = g.AddEdge(a, b, 1+rng.Intn(4))
 			}
 		}
-		p, err := Optimized(g, 1)
+		p, err := OptimizedOn(g, 1, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -122,12 +123,12 @@ func TestOptimizedBeatsRowMajorOnClusters(t *testing.T) {
 			}
 		}
 	}
-	naive := WeightedDistance(g, RowMajor(n))
-	opt, err := Optimized(g, 2)
+	naive := WeightedDistanceOn(g, RowMajor(n), nil)
+	opt, err := OptimizedOn(g, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optCost := WeightedDistance(g, opt)
+	optCost := WeightedDistanceOn(g, opt, nil)
 	if optCost >= naive {
 		t.Errorf("optimized cost %d should beat row-major %d", optCost, naive)
 	}
@@ -145,12 +146,12 @@ func TestOptimizedBeatsRowMajorOnApps(t *testing.T) {
 		{Name: "IM", Circuit: apps.Ising(apps.IsingConfig{N: 32, Steps: 1}, true)},
 	} {
 		g := interactionGraph(t, w.Circuit)
-		naive := WeightedDistance(g, RowMajor(g.NumVertices()))
-		opt, err := Optimized(g, 3)
+		naive := WeightedDistanceOn(g, RowMajor(g.NumVertices()), nil)
+		opt, err := OptimizedOn(g, 3, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		optCost := WeightedDistance(g, opt)
+		optCost := WeightedDistanceOn(g, opt, nil)
 		if optCost > naive {
 			t.Errorf("%s: optimized %d worse than row-major %d", w.Name, optCost, naive)
 		}
@@ -163,12 +164,12 @@ func TestWeightedDistanceKnownValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := RowMajor(4) // 2x2: 0=(0,0) 3=(1,1)
-	if got := WeightedDistance(g, p); got != 10 {
+	if got := WeightedDistanceOn(g, p, nil); got != 10 {
 		t.Errorf("weighted distance = %d, want 10", got)
 	}
 }
 
-// Property: Optimized always yields a valid permutation placement with
+// Property: OptimizedOn on the ideal grid always yields a valid permutation placement with
 // every vertex inside the grid.
 func TestOptimizedQuick(t *testing.T) {
 	f := func(seed int64, nRaw, eRaw uint8) bool {
@@ -181,7 +182,7 @@ func TestOptimizedQuick(t *testing.T) {
 				_ = g.AddEdge(a, b, 1)
 			}
 		}
-		p, err := Optimized(g, seed)
+		p, err := OptimizedOn(g, seed, nil)
 		if err != nil {
 			return false
 		}
@@ -206,7 +207,43 @@ func TestRegionSplit(t *testing.T) {
 	if a.rows != 3 || b.rows != 2 || b.row != 4 {
 		t.Errorf("split = %+v, %+v", a, b)
 	}
-	if a.capacity()+b.capacity() != r.capacity() {
+	if a.capacity(nil)+b.capacity(nil) != r.capacity(nil) {
 		t.Error("split loses capacity")
+	}
+}
+
+// TestAllAliveViewMatchesIdealGrid pins the nil view as exactly the
+// degenerate device: on a fully alive GridFor(n) view the optimizer
+// returns the same placement as on the ideal grid.
+func TestAllAliveViewMatchesIdealGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for n := 2; n <= 41; n++ {
+		g := partition.NewGraph(n)
+		for i := 0; i < 2*n; i++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a != b {
+				_ = g.AddEdge(a, b, 1+rng.Intn(3))
+			}
+		}
+		seed := rng.Int63n(1000)
+		rows, cols := GridFor(n)
+		v := device.NewView(rows, cols, func(Coord) bool { return true })
+		got, err := OptimizedOn(g, seed, v)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want, err := OptimizedOn(g, seed, nil)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("n=%d: dims %dx%d != %dx%d", n, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for q := range got.Pos {
+			if got.Pos[q] != want.Pos[q] {
+				t.Fatalf("n=%d seed=%d: qubit %d at %v on the all-alive view, %v on the ideal grid",
+					n, seed, q, got.Pos[q], want.Pos[q])
+			}
+		}
 	}
 }

@@ -194,7 +194,7 @@ func routeStitchChannels(p *circuit.Program, topo []string, mult map[string]int6
 		}
 	}
 
-	pl, err := layout.Optimized(g, seed)
+	pl, err := layout.OptimizedOn(g, seed, nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -5,36 +5,21 @@ import (
 	"sort"
 )
 
-// Options tunes Bisect. The zero value selects sensible defaults.
+// Options tunes Bisect.
 type Options struct {
 	// Seed makes runs reproducible; the same seed always yields the
 	// same partition.
 	Seed int64
-	// BalanceTolerance ε allows side weights up to (0.5+ε)·total.
-	// Zero selects 0.08.
-	BalanceTolerance float64
-	// MaxCoarseSize stops coarsening once the graph is this small.
-	// Zero selects 24.
-	MaxCoarseSize int
-	// Passes bounds FM refinement passes per level. Zero selects 8.
-	Passes int
 }
 
-func (o Options) withDefaults() Options {
-	// Negative values are degenerate (no refinement passes, a coarsen
-	// loop that never terminates early, an inverted balance band) —
-	// treat them like the zero value rather than honoring them.
-	if o.BalanceTolerance <= 0 {
-		o.BalanceTolerance = 0.08
-	}
-	if o.MaxCoarseSize <= 0 {
-		o.MaxCoarseSize = 24
-	}
-	if o.Passes <= 0 {
-		o.Passes = 8
-	}
-	return o
-}
+// Bisect tuning: side weights may reach (0.5+balanceTolerance)·total,
+// coarsening stops once the graph has at most maxCoarseSize vertices,
+// and FM refinement runs at most fmPasses passes per level.
+const (
+	balanceTolerance = 0.08
+	maxCoarseSize    = 24
+	fmPasses         = 8
+)
 
 // Bisect splits the graph into two balanced sides minimizing the cut
 // weight, returning the side assignment (0 or 1 per vertex) and the
@@ -42,7 +27,6 @@ func (o Options) withDefaults() Options {
 // greedy seed-growth partition of the coarsest graph, then FM
 // refinement at every uncoarsening level.
 func Bisect(g *Graph, opts Options) (side []int, cut int) {
-	opts = opts.withDefaults()
 	n := g.NumVertices()
 	side = make([]int, n)
 	if n <= 1 {
@@ -52,7 +36,7 @@ func Bisect(g *Graph, opts Options) (side []int, cut int) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	level := fromGraph(g)
 	var hierarchy []*coarseLevel
-	for level.size() > opts.MaxCoarseSize {
+	for level.size() > maxCoarseSize {
 		next, ok := level.coarsen(rng)
 		if !ok {
 			break
@@ -65,8 +49,8 @@ func Bisect(g *Graph, opts Options) (side []int, cut int) {
 	// graph, it is reused across initial partitioning, every FM pass,
 	// and every uncoarsening level instead of reallocating per pass.
 	sc := newFMScratch(n)
-	coarseSide := level.initialPartition(rng, opts.BalanceTolerance, sc)
-	level.refine(coarseSide, opts, sc)
+	coarseSide := level.initialPartition(rng, sc)
+	level.refine(coarseSide, sc)
 
 	// Project back through the hierarchy, refining at each level.
 	for i := len(hierarchy) - 1; i >= 0; i-- {
@@ -76,7 +60,7 @@ func Bisect(g *Graph, opts Options) (side []int, cut int) {
 		for v := range fineSide {
 			fineSide[v] = coarseSide[h.match[v]]
 		}
-		fine.refine(fineSide, opts, sc)
+		fine.refine(fineSide, sc)
 		coarseSide = fineSide
 	}
 	copy(side, coarseSide)
@@ -212,7 +196,7 @@ func (lg *levelGraph) coarsen(rng *rand.Rand) (*coarseLevel, bool) {
 // initialPartition grows side 0 from a seed by repeatedly absorbing the
 // vertex most heavily connected to the growing region, until half the
 // total vertex weight is absorbed.
-func (lg *levelGraph) initialPartition(rng *rand.Rand, tolerance float64, sc *fmScratch) []int {
+func (lg *levelGraph) initialPartition(rng *rand.Rand, sc *fmScratch) []int {
 	n := lg.size()
 	side := make([]int, n)
 	for v := range side {
@@ -253,14 +237,14 @@ func (lg *levelGraph) initialPartition(rng *rand.Rand, tolerance float64, sc *fm
 // refine restores balance (projection from a coarser level, or the
 // greedy initial partition, can overshoot when supervertices are
 // lumpy), then runs FM passes until no pass improves the cut.
-func (lg *levelGraph) refine(side []int, opts Options, sc *fmScratch) {
+func (lg *levelGraph) refine(side []int, sc *fmScratch) {
 	total := lg.totalWeight()
-	maxSide := int(float64(total) * (0.5 + opts.BalanceTolerance))
+	maxSide := int(float64(total) * (0.5 + balanceTolerance))
 	if min := (total + 1) / 2; maxSide < min {
 		maxSide = min
 	}
 	lg.rebalance(side, maxSide)
-	for pass := 0; pass < opts.Passes; pass++ {
+	for pass := 0; pass < fmPasses; pass++ {
 		if !lg.fmPass(side, maxSide, sc) {
 			return
 		}

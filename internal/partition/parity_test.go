@@ -17,13 +17,13 @@ import (
 // determinism check in partition_test.go.
 
 // parityCorpus is the seeded random-graph family the parity tests
-// sweep: sizes from below MaxCoarseSize (no coarsening at all) to well
+// sweep: sizes from below maxCoarseSize (no coarsening at all) to well
 // above it (several coarsening levels), with edge densities from
 // near-forest to dense.
 func parityCorpus() []*Graph {
 	var graphs []*Graph
 	for i := 0; i < 30; i++ {
-		n := 8 + (i*7)%89      // 8..96, straddling MaxCoarseSize=24
+		n := 8 + (i*7)%89      // 8..96, straddling maxCoarseSize=24
 		edges := n * (1 + i%4) // sparse to dense
 		seed := int64(100 + i*13)
 		graphs = append(graphs, randomGraph(n, edges, seed))
@@ -122,34 +122,5 @@ func TestBisectConcurrentParity(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
-	}
-}
-
-// TestBisectOptionDefaultsParity checks that zero-value options and
-// explicitly spelled-out defaults are the same partition, and that
-// degenerate negative options are treated like the zero value instead
-// of being honored.
-func TestBisectOptionDefaultsParity(t *testing.T) {
-	g := randomGraph(72, 220, 77)
-	zeroSide, zeroCut := Bisect(g, Options{Seed: 5})
-	explicit := Options{Seed: 5, BalanceTolerance: 0.08, MaxCoarseSize: 24, Passes: 8}
-	expSide, expCut := Bisect(g, explicit)
-	if zeroCut != expCut {
-		t.Fatalf("zero-value options cut %d != explicit defaults cut %d", zeroCut, expCut)
-	}
-	for v := range zeroSide {
-		if zeroSide[v] != expSide[v] {
-			t.Fatal("zero-value options and explicit defaults disagree on assignment")
-		}
-	}
-	negative := Options{Seed: 5, BalanceTolerance: -1, MaxCoarseSize: -3, Passes: -8}
-	negSide, negCut := Bisect(g, negative)
-	if negCut != zeroCut {
-		t.Fatalf("negative options cut %d != defaults cut %d", negCut, zeroCut)
-	}
-	for v := range negSide {
-		if negSide[v] != zeroSide[v] {
-			t.Fatal("negative options should behave like the zero value")
-		}
 	}
 }

@@ -189,16 +189,19 @@ func (tc *Toolchain) CompileIncremental(ctx context.Context, b Backend, p *Progr
 	modTarget := target
 	modTarget.Placement = nil
 
+	// The fingerprint hashes the target as given; the linker and the plan
+	// price the defaulted one.
 	fp := targetFingerprint(b.Name(), modTarget)
-	channel := float64(surface.DoubleDefectTileQubits(targetDistance(target)))
+	resolved := target.withDefaults()
+	channel := float64(surface.DoubleDefectTileQubits(resolved.Distance))
 	if b.Name() == "planar" {
-		channel = float64(surface.PlanarTileQubits(targetDistance(target)))
+		channel = float64(surface.PlanarTileQubits(resolved.Distance))
 	}
 
 	res, err := modcompile.Run(ctx, p, modcompile.Config{
 		Workers:              tc.workers,
 		TargetFingerprint:    fp,
-		Distance:             targetDistance(target),
+		Distance:             resolved.Distance,
 		ChannelQubitsPerLink: channel,
 		Seed:                 tc.seed,
 		Cache:                moduleCacheAdapter{tc.modCache},
@@ -244,35 +247,17 @@ func (tc *Toolchain) CompileIncremental(ctx context.Context, b Backend, p *Progr
 	plan := Plan{
 		Backend:        b.Name(),
 		Circuit:        p.Entry,
-		Distance:       targetDistance(target),
+		Distance:       resolved.Distance,
 		Seed:           modTarget.Seed,
 		Device:         target.Device.String(),
 		Cycles:         res.Cycles,
-		Seconds:        float64(res.Cycles) * resolvedTechnology(target).SyndromeCycleTime(),
+		Seconds:        float64(res.Cycles) * resolved.Technology.SyndromeCycleTime(),
 		PhysicalQubits: res.PhysicalQubits,
 		CommOps:        res.CommOps,
 		Modular:        mr,
 	}
 	tc.emit(Event{Stage: "compile", Backend: b.Name(), Cell: p.Entry, Total: 1})
 	return plan, nil
-}
-
-// targetDistance mirrors Target.withDefaults for the one field the
-// linker prices directly.
-func targetDistance(t Target) int {
-	if t.Distance == 0 {
-		return 9
-	}
-	return t.Distance
-}
-
-// resolvedTechnology mirrors Target.withDefaults for cycle-time
-// conversion.
-func resolvedTechnology(t Target) Technology {
-	if t.Technology == (Technology{}) {
-		return Superconducting(1e-8)
-	}
-	return t.Technology
 }
 
 // moduleCacheAdapter bridges the public ModuleCache (Plan values) to
